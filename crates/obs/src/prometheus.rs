@@ -84,9 +84,32 @@ impl PromText {
     /// `_sum` and `_count`. The family `# TYPE histogram` header must
     /// have been emitted by the caller (once, before all label sets).
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
+        self.histogram_in(name, labels, snap, |ns| ns.to_string());
+    }
+
+    /// [`PromText::histogram`] for a family named in Prometheus' base
+    /// unit (`*_seconds`): the same nanosecond samples and exact bucket
+    /// boundaries, with the `le` bounds and `_sum` rendered in seconds.
+    pub fn histogram_seconds(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        snap: &HistogramSnapshot,
+    ) {
+        self.histogram_in(name, labels, snap, |ns| (ns as f64 / 1e9).to_string());
+    }
+
+    /// The histogram body, with `unit` rendering nanosecond bounds and sum.
+    fn histogram_in(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        snap: &HistogramSnapshot,
+        unit: fn(u64) -> String,
+    ) {
         for le in LATENCY_LE_BOUNDS_NS {
             let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-            let le_s = le.to_string();
+            let le_s = unit(le);
             with_le.push(("le", &le_s));
             let _ = writeln!(
                 self.buf,
@@ -107,7 +130,7 @@ impl PromText {
             self.buf,
             "{name}_sum{} {}",
             format_labels(labels),
-            snap.sum()
+            unit(snap.sum())
         );
         let _ = writeln!(
             self.buf,
@@ -170,5 +193,27 @@ mod tests {
         assert!(out.contains(&format!("ic_lat_ns_sum{{class=\"cold\"}} {}", snap.sum())));
         // the first boundary (1023 ns) holds exactly the 500 ns sample
         assert!(out.contains("le=\"1023\"} 1"), "{out}");
+    }
+
+    #[test]
+    fn seconds_histogram_rescales_bounds_and_sum_only() {
+        let h = Histogram::new();
+        for v in [500u64, 1_500_000_000] {
+            h.record(v);
+        }
+        let mut p = PromText::new();
+        p.header("ic_write_seconds", "Write time.", "histogram");
+        p.histogram_seconds("ic_write_seconds", &[], &h.snapshot());
+        let out = p.finish();
+        assert!(
+            out.contains("ic_write_seconds_bucket{le=\"0.000001023\"} 1"),
+            "{out}"
+        );
+        assert!(
+            out.contains("ic_write_seconds_bucket{le=\"+Inf\"} 2"),
+            "{out}"
+        );
+        assert!(out.contains("ic_write_seconds_sum 1.5000005\n"), "{out}");
+        assert!(out.contains("ic_write_seconds_count 2\n"), "{out}");
     }
 }

@@ -12,10 +12,15 @@
 //! execution time alone is additionally recorded per storage backend
 //! (memory / file), which is the histogram that separates "the algorithm
 //! got slower" from "the cache stopped hitting".
+//!
+//! The transport's write stage is recorded per reply: the time of each
+//! reply's single socket `write_all` and the bytes it carried, so a
+//! stalled or back-pressured client is visible server-side.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use ic_graph::StorageKind;
 use ic_obs::{Histogram, HistogramSnapshot, QueryClass, QueryTrace};
@@ -68,6 +73,10 @@ pub struct ServiceMetrics {
     live_connections: AtomicU64,
     /// Protocol connections ever accepted.
     connections_total: AtomicU64,
+    /// `write_all` time of every reply written to a client socket.
+    reply_write: Histogram,
+    /// Bytes of every reply written to a client socket.
+    reply_bytes: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -83,6 +92,8 @@ impl ServiceMetrics {
             slow_seq: AtomicU64::new(0),
             live_connections: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
+            reply_write: Histogram::new(),
+            reply_bytes: AtomicU64::new(0),
         }
     }
 
@@ -123,6 +134,23 @@ impl ServiceMetrics {
     /// storage backend.
     pub fn record_execute(&self, storage: StorageKind, ns: u64) {
         self.execute[storage_index(storage)].record(ns);
+    }
+
+    /// Records one reply written to a client socket: its size and the
+    /// time its single `write_all` took. Allocation-free.
+    pub fn record_reply(&self, bytes: usize, write: Duration) {
+        self.reply_write.record(write.as_nanos() as u64);
+        self.reply_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    }
+
+    /// Snapshot of the per-reply socket-write histogram (nanoseconds).
+    pub fn reply_write_snapshot(&self) -> HistogramSnapshot {
+        self.reply_write.snapshot()
+    }
+
+    /// Reply bytes written to client sockets so far.
+    pub fn reply_bytes_total(&self) -> u64 {
+        self.reply_bytes.load(Ordering::Relaxed)
     }
 
     /// Snapshot of one class's end-to-end latency histogram.

@@ -70,6 +70,7 @@
 //! in-process `service_demo` example share it, so the protocol is tested
 //! without sockets.
 
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use ic_core::Community;
@@ -279,10 +280,12 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             let (batch, done) = svc.session_next_full(id, n)?;
             // done comes from the session iterator, never from batch
             // emptiness: NEXT <s> 0 on a live stream is count=0 done=0
-            let mut out = format!("OK count={} done={}", batch.len(), u8::from(done));
-            push_communities(&mut out, &batch, &g);
-            out.push_str("\nEND");
-            Ok(out)
+            Ok(format!(
+                "OK count={} done={}{}\nEND",
+                batch.len(),
+                u8::from(done),
+                CommunityLines(&batch, &g)
+            ))
         }
         "CLOSE" => {
             let [id] = expect_args::<1>(&verb, &args)?;
@@ -408,24 +411,35 @@ fn handle_batch(svc: &Arc<Service>, tail: &str) -> Result<String, ServiceError> 
         queries.push(parse_query("BATCH", &tokens)?);
     }
     let results = svc.query_batch(&queries);
-    let mut out = format!("OK batch={}", results.len());
-    for (i, result) in results.iter().enumerate() {
-        match result {
-            Ok(resp) => {
-                out.push_str(&format!(
-                    "\nR {i} OK algo={} cached={} coalesced={} count={}",
+    Ok(format!(
+        "OK batch={}{}\nEND",
+        results.len(),
+        BatchSlots(&results)
+    ))
+}
+
+/// The `R` slot lines of a `BATCH` reply, each followed by its `C`
+/// lines, rendered straight into the reply buffer.
+struct BatchSlots<'a>(&'a [Result<QueryResponse, ServiceError>]);
+
+impl fmt::Display for BatchSlots<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, result) in self.0.iter().enumerate() {
+            match result {
+                Ok(resp) => write!(
+                    f,
+                    "\nR {i} OK algo={} cached={} coalesced={} count={}{}",
                     resp.explain.algorithm,
                     resp.cached,
                     resp.coalesced,
-                    resp.communities.len()
-                ));
-                push_communities(&mut out, &resp.communities, &resp.graph_instance);
+                    resp.communities.len(),
+                    CommunityLines(&resp.communities, &resp.graph_instance)
+                )?,
+                Err(e) => write!(f, "\nR {i} ERR {e}")?,
             }
-            Err(e) => out.push_str(&format!("\nR {i} ERR {e}")),
         }
+        Ok(())
     }
-    out.push_str("\nEND");
-    Ok(out)
 }
 
 /// `EXPLAIN ANALYZE <graph> <gamma> <k> [mode]`: run the query through
@@ -552,36 +566,53 @@ fn parse_update<'a>(verb: &str, args: &[&'a str]) -> Result<(&'a str, UpdateOp),
 }
 
 fn format_query_response(resp: &QueryResponse) -> String {
-    let mut out = format!(
-        "OK algo={} cached={} coalesced={} micros={} count={}",
+    // translate through the instance the query actually ran against,
+    // never a fresh registry lookup (the name may have been re-registered
+    // to a graph with a different rank space since)
+    format!(
+        "OK algo={} cached={} coalesced={} micros={} count={}{}\nEND",
         resp.explain.algorithm,
         resp.cached,
         resp.coalesced,
         resp.latency.as_micros(),
-        resp.communities.len()
-    );
-    // translate through the instance the query actually ran against,
-    // never a fresh registry lookup (the name may have been re-registered
-    // to a graph with a different rank space since)
-    push_communities(&mut out, &resp.communities, &resp.graph_instance);
-    out.push_str("\nEND");
-    out
+        resp.communities.len(),
+        CommunityLines(&resp.communities, &resp.graph_instance)
+    )
 }
 
-fn push_communities(out: &mut String, communities: &[Community], g: &GraphStore) {
-    for c in communities {
-        out.push_str(&format!("\nC influence={} members=", c.influence));
-        // canonical wire form: external ids ascending (rank order is an
-        // internal detail clients should not have to know about); the id
-        // table is memory-resident for every backend, so no I/O here
-        let mut ids = c.external_members_in(g);
-        ids.sort_unstable();
-        for (i, id) in ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+/// The `C` lines of a community-bearing reply (`QUERY`, `BATCH`,
+/// `NEXT`), one `\nC influence=<f64> members=<ids>` line per community.
+///
+/// Canonical wire form: external ids ascending (rank order is an
+/// internal detail clients should not have to know about). Rendering
+/// writes the influence and every id straight into the reply buffer
+/// through the formatter, sorting each community's ids in one buffer
+/// reused across the block — no allocation per community or member. The
+/// id table is memory-resident for every backend, so no I/O here.
+struct CommunityLines<'a>(&'a [Community], &'a GraphStore);
+
+impl fmt::Display for CommunityLines<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut ids: Vec<u64> = Vec::new();
+        let CommunityLines(communities, store) = *self;
+        for c in communities {
+            ids.clear();
+            ids.extend(c.members.iter().map(|&r| store.external_id(r)));
+            ids.sort_unstable();
+            write!(f, "\nC influence={} members=", c.influence)?;
+            // ids go through `u64`'s own `Display` with this formatter's
+            // options, which are the defaults: the renderer is only ever
+            // formatted with a plain `{}`
+            let mut members = ids.iter();
+            if let Some(id) = members.next() {
+                fmt::Display::fmt(id, f)?;
             }
-            out.push_str(&id.to_string());
+            for id in members {
+                f.write_char(',')?;
+                fmt::Display::fmt(id, f)?;
+            }
         }
+        Ok(())
     }
 }
 
@@ -621,6 +652,175 @@ mod tests {
         });
         svc.register("fig3", figure3());
         svc
+    }
+
+    /// The serializer's former rendering — one `format!` per `C` line, a
+    /// fresh id `Vec` per community, one `to_string` per member — kept as
+    /// the wire-format reference [`CommunityLines`] must match byte for
+    /// byte.
+    fn reference_community_lines(communities: &[Community], g: &GraphStore) -> String {
+        let mut out = String::new();
+        for c in communities {
+            out.push_str(&format!("\nC influence={} members=", c.influence));
+            let mut ids = c.external_members_in(g);
+            ids.sort_unstable();
+            for (i, id) in ids.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&id.to_string());
+            }
+        }
+        out
+    }
+
+    /// Asserts that a `QUERY` reply's lines after its header (which
+    /// carries the run-dependent `micros=`) are the reference rendering of
+    /// the same answer, re-fetched from the cache.
+    fn assert_query_matches_reference(svc: &Arc<Service>, graph: &str, gamma: u32, k: usize) {
+        let reply = handle_line(svc, &format!("QUERY {graph} {gamma} {k}"));
+        assert!(reply.starts_with("OK "), "{reply}");
+        let resp = svc.query(Query::new(graph, gamma, k)).unwrap();
+        assert!(resp.cached, "the reference renders the answer QUERY sent");
+        let expected = reference_community_lines(&resp.communities, &resp.graph_instance);
+        assert!(!expected.is_empty(), "{graph} {gamma} {k}: empty answer");
+        let body = &reply[reply.find('\n').unwrap()..];
+        assert_eq!(body, format!("{expected}\nEND"), "{graph} {gamma} {k}");
+    }
+
+    /// A graph whose external ids are `0`, one value of every length
+    /// from 1 to 20 digits, and `u64::MAX`, all in one clique, with
+    /// weights of mixed magnitude and fraction ordered unlike the ids —
+    /// so every community lists ids of every width, re-sorted from rank
+    /// order, next to an influence exercising `f64` `{}` formatting.
+    fn extreme_id_graph() -> ic_graph::WeightedGraph {
+        let mut ids = vec![0u64];
+        ids.extend((0..19).map(|d| 10u64.pow(d) + u64::from(d) + 1));
+        ids.extend([10u64.pow(19), u64::MAX]);
+        let weights = [
+            0.1,
+            1e-7,
+            2.5,
+            1e21,
+            3.0,
+            17.25,
+            1.0 / 3.0,
+            123456.789,
+            1e-12,
+            42.0,
+            1e15,
+            7.5e18,
+            0.3,
+            99.99,
+            6.02214076e23,
+            2f64.sqrt(),
+            1e-300,
+            1234.5,
+            8.0,
+            0.75,
+            65536.0,
+            31.4159,
+        ];
+        assert_eq!(ids.len(), weights.len());
+        let mut b = ic_graph::GraphBuilder::new();
+        for (i, (&id, &w)) in ids.iter().zip(&weights).enumerate() {
+            b.set_weight(id, w);
+            for &other in &ids[..i] {
+                b.add_edge(id, other);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// The allocation-free serializer is byte-identical to the former
+    /// rendering for every community-bearing verb, on the paper graph, a
+    /// generated graph, extreme external ids, and a file-backed store
+    /// (ids translated through the file's resident id table).
+    #[test]
+    fn community_lines_match_the_reference_rendering() {
+        let svc = svc();
+        // QUERY on figure3 and on a generated G(n, m) graph
+        for (gamma, k) in [(1, 20), (2, 3), (3, 4), (4, 1)] {
+            assert_query_matches_reference(&svc, "fig3", gamma, k);
+        }
+        assert!(handle_line(&svc, "GEN toy gnm 300 1200 7").starts_with("OK"));
+        for (gamma, k) in [(2, 40), (3, 10)] {
+            assert_query_matches_reference(&svc, "toy", gamma, k);
+        }
+
+        // extreme ids, memory-resident and file-backed
+        svc.register("ids", extreme_id_graph());
+        assert_query_matches_reference(&svc, "ids", 2, 100);
+        let dir = ic_graph::scratch::ScratchDir::new("ic-protocol-golden");
+        let path = dir.file("ids.icsr");
+        let path = path.to_str().unwrap();
+        assert!(handle_line(&svc, &format!("SAVE ids {path}")).starts_with("OK"));
+        assert!(handle_line(&svc, &format!("LOADX ids_file {path}")).contains("storage=file"));
+        assert_query_matches_reference(&svc, "ids_file", 2, 100);
+        assert_query_matches_reference(&svc, "ids_file", 5, 7);
+        // the lowest-influence community is the whole clique
+        let extreme = handle_line(&svc, "QUERY ids_file 2 100");
+        assert!(extreme.contains(" members=0,2,"), "{extreme}");
+        assert!(extreme.contains(",18446744073709551615\nEND"), "{extreme}");
+
+        // BATCH and NEXT replies carry no timings: the whole reply of a
+        // fresh service must equal the former rendering of its twin's
+        let fresh = || {
+            let s = super::tests::svc();
+            assert!(handle_line(&s, "GEN toy gnm 300 1200 7").starts_with("OK"));
+            s.register("ids", extreme_id_graph());
+            s
+        };
+        let (svc, twin) = (fresh(), fresh());
+        let batch = "fig3 3 4 ; toy 2 40 ; nope 1 1 ; ids 3 100 ; fig3 1 20";
+        let queries: Vec<Query> = batch
+            .split(';')
+            .filter(|s| !s.contains("nope"))
+            .map(|s| {
+                let t: Vec<&str> = s.split_ascii_whitespace().collect();
+                Query::new(t[0], t[1].parse().unwrap(), t[2].parse().unwrap())
+            })
+            .collect();
+        let mut results = twin.query_batch(&queries);
+        results.insert(2, Err(ServiceError::UnknownGraph("nope".into())));
+        let mut expected = format!("OK batch={}", results.len());
+        for (i, result) in results.iter().enumerate() {
+            match result {
+                Ok(resp) => {
+                    expected.push_str(&format!(
+                        "\nR {i} OK algo={} cached={} coalesced={} count={}",
+                        resp.explain.algorithm,
+                        resp.cached,
+                        resp.coalesced,
+                        resp.communities.len()
+                    ));
+                    expected.push_str(&reference_community_lines(
+                        &resp.communities,
+                        &resp.graph_instance,
+                    ));
+                }
+                Err(e) => expected.push_str(&format!("\nR {i} ERR {e}")),
+            }
+        }
+        expected.push_str("\nEND");
+        assert_eq!(handle_line(&svc, &format!("BATCH {batch}")), expected);
+
+        for (graph, gamma) in [("fig3", 3), ("toy", 2), ("ids", 2)] {
+            let open = handle_line(&svc, &format!("OPEN {graph} {gamma}"));
+            let id: u64 = open.trim_start_matches("OK session=").parse().unwrap();
+            let twin_id = twin.open_session(graph, gamma).unwrap();
+            let g = GraphStore::Memory(twin.session_graph_instance(twin_id).unwrap());
+            for n in [2, 0, 1000] {
+                let (next, done) = twin.session_next_full(twin_id, n).unwrap();
+                let expected = format!(
+                    "OK count={} done={}{}\nEND",
+                    next.len(),
+                    u8::from(done),
+                    reference_community_lines(&next, &g)
+                );
+                assert_eq!(handle_line(&svc, &format!("NEXT {id} {n}")), expected);
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! absorbed with a short exponential backoff; the loop keeps accepting.
 //! Only errors that mean the listener itself is gone return.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -227,38 +227,44 @@ pub fn handle_connection(stream: TcpStream, svc: &Arc<Service>) -> io::Result<()
 }
 
 /// [`handle_connection`] with explicit [`ServerOptions`].
+///
+/// Replies leave as one buffer each: the `\n` terminator is appended to
+/// the reply `String` in place and the whole reply goes out in a single
+/// `write_all`, with `TCP_NODELAY` set. Without both, a reply larger
+/// than a write buffer leaves in two writes, and Nagle's algorithm holds
+/// the second one until the client's delayed ACK (~40 ms) arrives.
 pub fn handle_connection_with(
-    stream: TcpStream,
+    mut stream: TcpStream,
     svc: &Arc<Service>,
     options: ServerOptions,
 ) -> io::Result<()> {
     stream.set_read_timeout(options.idle_timeout)?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    if !send_line(&mut writer, svc, &format!("OK ic-service ready; {HELP}")) {
+    let banner = format!("OK ic-service ready; {HELP}\n");
+    if send_reply(&mut stream, svc, banner.as_bytes()).is_err() {
         return Ok(());
     }
     let mut buf: Vec<u8> = Vec::new();
     loop {
         buf.clear();
-        match read_request_line(&mut reader, &mut buf)? {
+        let line = match read_request_line(&mut reader, &mut buf)? {
             LineRead::Closed => break,
             LineRead::Oversized => {
-                if !send_line(
-                    &mut writer,
-                    svc,
-                    &format!("ERR line exceeds {MAX_LINE_BYTES} bytes"),
-                ) {
+                let reply = format!("ERR line exceeds {MAX_LINE_BYTES} bytes\n");
+                if send_reply(&mut stream, svc, reply.as_bytes()).is_err() {
                     return Ok(());
                 }
                 continue;
             }
-            LineRead::Line => {}
-        }
-        let line = String::from_utf8_lossy(&buf);
-        let reply = handle_line(svc, &line);
-        if !reply.is_empty() && !send_line(&mut writer, svc, &reply) {
-            return Ok(());
+            LineRead::Line => String::from_utf8_lossy(&buf),
+        };
+        let mut reply = handle_line(svc, &line);
+        if !reply.is_empty() {
+            reply.push('\n');
+            if send_reply(&mut stream, svc, reply.as_bytes()).is_err() {
+                return Ok(());
+            }
         }
         if line.trim().eq_ignore_ascii_case("QUIT") {
             break;
@@ -267,17 +273,23 @@ pub fn handle_connection_with(
     Ok(())
 }
 
-/// Writes one reply line and flushes it. A failed write means the
-/// client is gone mid-response: it is counted (`write_errors` in
-/// `STATS`, `ic_write_errors_total` in `METRICS`) and reported as
-/// `false` so the caller closes the connection cleanly instead of
+/// Writes one complete reply with a single `write_all` — the only
+/// socket write either front-end makes. Its size and write time are
+/// recorded (`ic_reply_bytes_total`, `ic_reply_write_seconds`). A failed
+/// write means the client is gone mid-response: it is counted
+/// (`write_errors` in `STATS`, `ic_write_errors_total` in `METRICS`) and
+/// returned, so a protocol connection closes cleanly instead of
 /// surfacing a spurious connection error.
-fn send_line(writer: &mut BufWriter<TcpStream>, svc: &Arc<Service>, text: &str) -> bool {
-    match writeln!(writer, "{text}").and_then(|()| writer.flush()) {
-        Ok(()) => true,
-        Err(_) => {
+fn send_reply(stream: &mut TcpStream, svc: &Service, reply: &[u8]) -> io::Result<()> {
+    let started = Instant::now();
+    match stream.write_all(reply) {
+        Ok(()) => {
+            svc.metrics().record_reply(reply.len(), started.elapsed());
+            Ok(())
+        }
+        Err(e) => {
             svc.record_write_error();
-            false
+            Err(e)
         }
     }
 }
@@ -369,25 +381,17 @@ pub fn serve_metrics(listener: TcpListener, svc: Arc<Service>) -> io::Result<()>
 }
 
 /// Answers one scrape: read (and discard) a bounded request head, write
-/// the exposition body, close.
+/// the exposition response, close.
 pub fn handle_scrape(mut stream: TcpStream, svc: &Arc<Service>) -> io::Result<()> {
     let mut head = [0u8; 4096];
     let _ = stream.read(&mut head)?;
     let body = svc.metrics_text();
-    let mut writer = BufWriter::new(stream);
-    if let Err(e) = write!(
-        writer,
+    let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-    .and_then(|()| writer.flush())
-    {
-        // the scraper hung up mid-body: its loss, but count the
-        // undelivered write before propagating
-        svc.record_write_error();
-        return Err(e);
-    }
-    Ok(())
+    );
+    // a scraper that hung up mid-body was counted by send_reply
+    send_reply(&mut stream, svc, response.as_bytes())
 }
 
 /// Discards input up to and including the next newline, in bounded
@@ -411,7 +415,7 @@ mod tests {
     use crate::service::ServiceConfig;
     use ic_graph::paper::figure3;
     use std::collections::VecDeque;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufWriter};
     use std::sync::Mutex;
 
     /// End-to-end over a real socket: boot a listener on an ephemeral
@@ -814,6 +818,50 @@ mod tests {
         assert_eq!(svc.stats().queries, before, "partial line never executed");
     }
 
+    /// Replies larger than a write buffer must not stall. When a reply
+    /// left as its body plus a separate `"\n"` write, Nagle's algorithm
+    /// held the second write until the client's delayed ACK fired, so
+    /// every such round trip took ~40 ms however fast the answer was.
+    #[test]
+    fn large_replies_do_not_wait_for_delayed_acks() {
+        let svc = test_service();
+        assert!(handle_line(&svc, "GEN g gnm 2000 8000 1").starts_with("OK"));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc_for_server = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let _ = handle_connection(stream, &svc_for_server);
+        });
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_nodelay(true).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap(); // banner
+        let mut round_trips = Vec::new();
+        for _ in 0..10 {
+            let start = Instant::now();
+            client.write_all(b"QUERY g 2 50\n").unwrap();
+            let mut reply_bytes = 0;
+            loop {
+                line.clear();
+                reply_bytes += reader.read_line(&mut line).unwrap();
+                if line.trim_end() == "END" {
+                    break;
+                }
+            }
+            round_trips.push(start.elapsed());
+            assert!(reply_bytes > 16 * 1024, "reply of {reply_bytes} bytes");
+        }
+        round_trips.sort();
+        assert!(
+            round_trips[round_trips.len() / 2] < Duration::from_millis(20),
+            "median round trip stalled: {round_trips:?}"
+        );
+        client.write_all(b"QUIT\n").unwrap();
+    }
+
     /// A client that asks for large replies and hangs up without reading
     /// them makes the server's socket writes fail. The failure must be
     /// *counted* (`write_errors`) and the connection closed cleanly —
@@ -821,6 +869,7 @@ mod tests {
     #[test]
     fn failed_client_write_is_counted_and_closed_cleanly() {
         let svc = test_service();
+        assert!(handle_line(&svc, "GEN g gnm 2000 8000 1").starts_with("OK"));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let svc_for_server = Arc::clone(&svc);
@@ -830,10 +879,11 @@ mod tests {
         });
 
         let mut client = TcpStream::connect(addr).unwrap();
-        // queue many multi-kilobyte METRICS replies and never read one:
-        // the server fills the client's receive window and blocks
+        // queue 200 replies of ~0.6 MB each and never read one: ~120 MB
+        // outlasts any loopback socket buffers, so the server is still
+        // writing (or blocked in a write) when the client goes away
         for _ in 0..200 {
-            client.write_all(b"METRICS\n").unwrap();
+            client.write_all(b"QUERY g 3 200\n").unwrap();
         }
         std::thread::sleep(Duration::from_millis(100));
         // closing with unread data pending resets the connection, so the

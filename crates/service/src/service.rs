@@ -1117,6 +1117,26 @@ impl Service {
             "gauge",
         );
         p.sample("ic_live_connections", &[], self.metrics.live_connections());
+        p.header(
+            "ic_reply_bytes_total",
+            "Reply bytes written to client sockets.",
+            "counter",
+        );
+        p.sample(
+            "ic_reply_bytes_total",
+            &[],
+            self.metrics.reply_bytes_total(),
+        );
+        p.header(
+            "ic_reply_write_seconds",
+            "Time of each reply's single socket write (write_all).",
+            "histogram",
+        );
+        p.histogram_seconds(
+            "ic_reply_write_seconds",
+            &[],
+            &self.metrics.reply_write_snapshot(),
+        );
 
         p.header(
             "ic_executions_total",

@@ -1,15 +1,17 @@
 //! End-to-end observability tests: histogram quantile accuracy against
 //! an exact sorted reference (proptest), concurrent recording + merge,
 //! the Prometheus exposition's line shape, `EXPLAIN ANALYZE` stage
-//! tiling against end-to-end latency, the slow-query log, and `STATS`
-//! row determinism.
+//! tiling against end-to-end latency, the slow-query log, `STATS` row
+//! determinism, and the per-reply socket-write series.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
 use influential_communities::obs::{Histogram, QueryClass, LATENCY_LE_BOUNDS_NS, SUB_BUCKETS};
 use influential_communities::service::protocol::handle_line;
-use influential_communities::service::{Query, Service, ServiceConfig};
+use influential_communities::service::{serve, Query, Service, ServiceConfig};
 use proptest::prelude::*;
 
 fn svc_with(threshold: Duration) -> Arc<Service> {
@@ -278,4 +280,59 @@ fn stats_rows_are_deterministically_ordered() {
     assert_eq!(rows(&stats), rows(&handle_line(&svc, "STATS")));
     let graphs = handle_line(&svc, "GRAPHS");
     assert_eq!(rows(&graphs), rows(&handle_line(&svc, "GRAPHS")));
+}
+
+/// The transport's write stage is observable server-side: every reply a
+/// protocol connection writes adds its bytes to `ic_reply_bytes_total`
+/// and one sample to `ic_reply_write_seconds`, so a `QUERY` between two
+/// `METRICS` requests grows both series by exactly what was sent.
+#[test]
+fn reply_writes_grow_the_transport_series() {
+    let svc = svc_with(Duration::from_secs(10));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server_svc = Arc::clone(&svc);
+    std::thread::spawn(move || serve(listener, server_svc));
+
+    let mut client = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(client.try_clone().unwrap());
+    let mut banner = String::new();
+    reader.read_line(&mut banner).unwrap();
+    // one request whose reply ends in an `END` line, returned verbatim
+    let mut request = |line: &str| -> String {
+        client.write_all(format!("{line}\n").as_bytes()).unwrap();
+        let mut reply = String::new();
+        while !reply.ends_with("\nEND\n") {
+            assert!(reader.read_line(&mut reply).unwrap() > 0, "EOF in {reply}");
+        }
+        reply
+    };
+    let series = |body: &str, name: &str| -> f64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("{name} missing from {body}"))
+            .parse()
+            .unwrap()
+    };
+
+    let before = request("METRICS");
+    // the banner was the one reply written before this exposition
+    assert_eq!(series(&before, "ic_reply_bytes_total"), banner.len() as f64);
+    assert_eq!(series(&before, "ic_reply_write_seconds_count"), 1.0);
+    let query = request("QUERY fig3 3 4");
+    assert!(query.contains("count=4"), "{query}");
+    let after = request("METRICS");
+
+    let grew = |name: &str| series(&after, name) - series(&before, name);
+    assert_eq!(
+        grew("ic_reply_bytes_total"),
+        (before.len() + query.len()) as f64,
+        "the METRICS and QUERY replies, terminators included"
+    );
+    assert_eq!(grew("ic_reply_write_seconds_count"), 2.0);
+    assert!(grew("ic_reply_write_seconds_sum") > 0.0, "{after}");
+    assert_eq!(
+        series(&after, "ic_reply_write_seconds_bucket{le=\"+Inf\"}"),
+        series(&after, "ic_reply_write_seconds_count")
+    );
 }
