@@ -25,13 +25,17 @@ use crate::peel::{PeelConfig, PeelEngine, PeelOutput};
 use ic_graph::{Prefix, WeightedGraph};
 
 /// A progressive community stream. Implements [`Iterator`]; items arrive
-/// in strictly decreasing influence order.
+/// in strictly decreasing influence order. `G` is any graph handle (`&`,
+/// owned or `Arc`), so a paused stream is plain state to resume later.
 #[derive(Debug)]
-pub struct ProgressiveSearch<'g> {
-    g: &'g WeightedGraph,
+pub struct ProgressiveSearch<G> {
+    g: G,
     gamma: u32,
     delta: f64,
-    prefix: Prefix<'g>,
+    /// Length and size of the prefix the next round peels; its view is
+    /// rebuilt once per round, O(t) within that round's O(size) peel.
+    len: usize,
+    size: u64,
     /// Length of the previous round's prefix (`stop_before` for
     /// ConstructCVS); 0 before the first round.
     prev_len: usize,
@@ -50,25 +54,26 @@ pub struct ProgressiveSearch<'g> {
     total_counted_size: u64,
 }
 
-impl<'g> ProgressiveSearch<'g> {
+impl<G: AsRef<WeightedGraph>> ProgressiveSearch<G> {
     /// Starts a progressive query with the default growth ratio δ = 2
     /// (Algorithm 4 line 8 hard-codes 2; [`Self::with_delta`] generalizes).
-    pub fn new(g: &'g WeightedGraph, gamma: u32) -> Self {
+    pub fn new(g: G, gamma: u32) -> Self {
         Self::with_delta(g, gamma, 2.0)
     }
 
     /// Progressive query with a custom growth ratio δ > 1.
-    pub fn with_delta(g: &'g WeightedGraph, gamma: u32, delta: f64) -> Self {
+    pub fn with_delta(g: G, gamma: u32, delta: f64) -> Self {
         assert!(gamma >= 1, "gamma must be at least 1");
         assert!(delta > 1.0, "growth ratio must exceed 1");
         // line 1: the largest τ whose prefix could hold one community —
         // a γ-community has at least γ+1 vertices
-        let t1 = (gamma as usize + 1).min(g.n());
+        let first = Prefix::with_len(g.as_ref(), gamma as usize + 1);
         ProgressiveSearch {
+            len: first.len(),
+            size: first.size(),
             g,
             gamma,
             delta,
-            prefix: Prefix::with_len(g, t1),
             prev_len: 0,
             engine: PeelEngine::new(),
             out: PeelOutput::default(),
@@ -90,7 +95,7 @@ impl<'g> ProgressiveSearch<'g> {
     /// `size(G≥τ)` of the prefix accessed so far — the progressive
     /// analogue of [`crate::local_search::SearchStats::final_prefix_size`].
     pub fn accessed_size(&self) -> u64 {
-        self.prefix.size()
+        self.size
     }
 
     /// Access statistics so far, in the same shape as the batch
@@ -113,37 +118,40 @@ impl<'g> ProgressiveSearch<'g> {
         if self.exhausted {
             return false;
         }
+        let g = self.g.as_ref();
+        let mut prefix = Prefix::with_len(g, self.len);
         // line 5: ConstructCVS(G≥τi, γ, τi−1)
         let cfg = PeelConfig {
             gamma: self.gamma,
             stop_before: self.prev_len,
             track_nc: false,
         };
-        self.engine.peel(&self.prefix, cfg, &mut self.out);
+        self.engine.peel(&prefix, cfg, &mut self.out);
         self.rounds += 1;
-        self.prev_size = self.prefix.size();
-        self.total_counted_size += self.prefix.size();
+        self.prev_size = prefix.size();
+        self.total_counted_size += prefix.size();
         // line 6: EnumIC-P — new keynodes in decreasing weight order
         let entries = self
             .builder
-            .add_peel(&self.prefix, &self.out, usize::MAX, |r| self.g.weight(r));
+            .add_peel(&prefix, &self.out, usize::MAX, |r| g.weight(r));
         self.pending.extend(entries);
-        self.prev_len = self.prefix.len();
+        self.prev_len = prefix.len();
         // line 7: terminate after processing the full graph
-        if self.prefix.is_full() {
+        if prefix.is_full() {
             self.exhausted = true;
         } else {
             // line 8: grow to at least δ × current size (τmin fallback is
             // implicit: extend_to_size caps at the full graph)
-            let target = (self.prefix.size() as f64 * self.delta).ceil() as u64;
-            self.prefix
-                .extend_to_size(target.max(self.prefix.size() + 1));
+            let target = (prefix.size() as f64 * self.delta).ceil() as u64;
+            prefix.extend_to_size(target.max(prefix.size() + 1));
         }
+        self.len = prefix.len();
+        self.size = prefix.size();
         true
     }
 }
 
-impl Iterator for ProgressiveSearch<'_> {
+impl<G: AsRef<WeightedGraph>> Iterator for ProgressiveSearch<G> {
     type Item = Community;
 
     fn next(&mut self) -> Option<Community> {
@@ -293,6 +301,21 @@ mod tests {
             all.len(),
             "each keynode reported exactly once"
         );
+    }
+
+    #[test]
+    fn owned_handle_streams_like_a_borrow() {
+        fn assert_send<T: Send>(_: &T) {}
+        let g = std::sync::Arc::new(figure3());
+        let owned = ProgressiveSearch::new(std::sync::Arc::clone(&g), 3);
+        assert_send(&owned);
+        let borrowed: Vec<Community> = ProgressiveSearch::new(&*g, 3).collect();
+        let owned: Vec<Community> = owned.collect();
+        assert_eq!(owned.len(), borrowed.len());
+        for (a, b) in owned.iter().zip(&borrowed) {
+            assert_eq!(a.keynode, b.keynode);
+            assert_eq!(a.members, b.members);
+        }
     }
 
     #[test]

@@ -97,7 +97,8 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Vec<(u32, u32)> {
 /// attaches each new vertex to `d` distinct existing vertices chosen with
 /// probability proportional to degree (implemented with the standard
 /// repeated-endpoint trick: sampling a uniform position in the running
-/// edge-endpoint list is degree-proportional).
+/// edge-endpoint list is degree-proportional). Targets are kept in draw
+/// order, so the edge list is a function of the seed alone.
 pub fn barabasi_albert(n: usize, d: usize, seed: u64) -> Vec<(u32, u32)> {
     assert!(d >= 1 && n > d, "need n > d >= 1");
     let mut rng = Pcg32::new(seed);
@@ -112,12 +113,14 @@ pub fn barabasi_albert(n: usize, d: usize, seed: u64) -> Vec<(u32, u32)> {
             pool.push(v);
         }
     }
-    let mut targets = std::collections::HashSet::with_capacity(d);
+    let mut targets: Vec<u32> = Vec::with_capacity(d);
     for v in (d + 1) as u32..n as u32 {
         targets.clear();
         while targets.len() < d {
             let t = pool[rng.gen_index(pool.len())];
-            targets.insert(t);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         for &t in &targets {
             edges.push((t.min(v), t.max(v)));
@@ -343,6 +346,18 @@ mod tests {
             deg.iter().all(|&x| x >= d as u32),
             "BA guarantees min degree d"
         );
+    }
+
+    #[test]
+    fn ba_deterministic() {
+        assert_eq!(barabasi_albert(500, 3, 1), barabasi_albert(500, 3, 1));
+        assert_ne!(barabasi_albert(500, 3, 1), barabasi_albert(500, 3, 2));
+        // pins the draw order: a change to it changes every BA graph
+        let checksum = barabasi_albert(1000, 3, 1).iter().fold(0u64, |h, &(a, b)| {
+            h.wrapping_mul(1_000_003)
+                .wrapping_add((u64::from(a) << 32) | u64::from(b))
+        });
+        assert_eq!(checksum, 5_840_414_987_705_600_460);
     }
 
     #[test]

@@ -253,6 +253,14 @@ impl WeightedGraph {
     }
 }
 
+/// Lets code generic over `G: AsRef<WeightedGraph>` take a graph by value,
+/// by reference or behind an `Arc` alike.
+impl AsRef<WeightedGraph> for WeightedGraph {
+    fn as_ref(&self) -> &WeightedGraph {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
 

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::session::MAX_OPEN_SESSIONS;
+
 /// Anything that can go wrong serving a request. The TCP front-end maps
 /// each variant to a one-line `ERR` reply; library users match on it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -9,8 +11,11 @@ pub enum ServiceError {
     /// Query or command referenced a graph name that is not registered.
     UnknownGraph(String),
     /// `NEXT`/`CLOSE` referenced a session id that does not exist (never
-    /// opened, or already closed).
+    /// opened, or already closed), or whose stream panicked mid-pull and
+    /// cannot resume.
     UnknownSession(u64),
+    /// `OPEN` found [`MAX_OPEN_SESSIONS`] sessions already open.
+    TooManySessions,
     /// Degenerate or malformed query parameters (γ = 0, k = 0, bad mode).
     InvalidQuery(String),
     /// A graph failed to load or generate.
@@ -26,7 +31,7 @@ pub enum ServiceError {
     /// replay) failed; the in-memory state is still consistent but is no
     /// longer guaranteed to survive a restart.
     Persistence(String),
-    /// The worker pool or a session worker shut down mid-request.
+    /// The worker pool shut down mid-request.
     WorkerGone,
 }
 
@@ -35,6 +40,9 @@ impl fmt::Display for ServiceError {
         match self {
             ServiceError::UnknownGraph(name) => write!(f, "unknown graph {name:?}"),
             ServiceError::UnknownSession(id) => write!(f, "unknown session {id}"),
+            ServiceError::TooManySessions => {
+                write!(f, "too many open sessions (limit {MAX_OPEN_SESSIONS})")
+            }
             ServiceError::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             ServiceError::GraphLoad(msg) => write!(f, "graph load failed: {msg}"),
             ServiceError::Update(msg) => write!(f, "update rejected: {msg}"),

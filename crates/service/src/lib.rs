@@ -29,8 +29,10 @@
 //!   one search per `(graph, generation, γ, family)` group, executed at
 //!   the group's largest k and sliced per request.
 //! * [`session::Session`] — progressive sessions: pull communities one
-//!   batch at a time across calls, each session backed by a thread owning
-//!   its `ProgressiveSearch` iterator.
+//!   batch at a time across calls. A session is its `ProgressiveSearch`
+//!   iterator, owning the graph's `Arc`, behind a mutex; at most
+//!   [`session::MAX_OPEN_SESSIONS`] are open at once, and a TCP
+//!   connection's sessions close when it ends.
 //! * dynamic updates — [`Service::update`] buffers edge/vertex churn in a
 //!   per-graph [`ic_dynamic::DynamicGraph`] overlay (incremental core
 //!   maintenance, no global peel) and [`Service::commit_updates`] swaps

@@ -99,18 +99,30 @@ pub const MAX_BATCH: usize = 256;
 /// Handles one request line, returning the full (possibly multi-line)
 /// reply without a trailing newline. Empty and `#`-comment lines get an
 /// empty reply. `QUIT` is connection-level and handled by the caller.
+/// Sessions opened here stay open until a `CLOSE`.
 pub fn handle_line(svc: &Arc<Service>, line: &str) -> String {
+    handle_owned_line(svc, line, &mut Vec::new())
+}
+
+/// [`handle_line`] for a caller that owns the sessions it opens: `OPEN`
+/// pushes the new id to `sessions` and `CLOSE` removes it, so the
+/// caller can close the rest when it goes away.
+pub(crate) fn handle_owned_line(svc: &Arc<Service>, line: &str, sessions: &mut Vec<u64>) -> String {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return String::new();
     }
-    match dispatch(svc, line) {
+    match dispatch(svc, line, sessions) {
         Ok(reply) => reply,
         Err(e) => format!("ERR {e}"),
     }
 }
 
-fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
+fn dispatch(
+    svc: &Arc<Service>,
+    line: &str,
+    sessions: &mut Vec<u64>,
+) -> Result<String, ServiceError> {
     let mut parts = line.split_ascii_whitespace();
     // handle_line trims before dispatching, but parsing must not lean on
     // its caller: an empty line is simply an empty reply.
@@ -257,6 +269,7 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             let [graph, gamma] = expect_args::<2>(&verb, &args)?;
             let gamma = parse_num::<u32>("gamma", gamma)?;
             let id = svc.open_session(graph, gamma)?;
+            sessions.push(id);
             Ok(format!("OK session={id}"))
         }
         "NEXT" => {
@@ -273,11 +286,8 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             // Print through the instance the session actually streams
             // from — the name may have been re-registered to a different
             // graph mid-session, whose rank space would not match.
-            let g = GraphStore::Memory(
-                svc.session_graph_instance(id)
-                    .ok_or(ServiceError::UnknownSession(id))?,
-            );
-            let (batch, done) = svc.session_next_full(id, n)?;
+            let (instance, batch, done) = svc.session_pull(id, n)?;
+            let g = GraphStore::Memory(instance);
             // done comes from the session iterator, never from batch
             // emptiness: NEXT <s> 0 on a live stream is count=0 done=0
             Ok(format!(
@@ -291,6 +301,7 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             let [id] = expect_args::<1>(&verb, &args)?;
             let id = parse_num::<u64>("session", id)?;
             svc.close_session(id)?;
+            sessions.retain(|&s| s != id);
             Ok(format!("OK closed={id}"))
         }
         "STATS" => {
@@ -957,6 +968,26 @@ mod tests {
         assert!(close.starts_with("OK closed="), "{close}");
         let gone = handle_line(&svc, &format!("NEXT {id}"));
         assert!(gone.starts_with("ERR"), "{gone}");
+    }
+
+    /// Open sessions are bounded: the `OPEN` past the cap gets a typed
+    /// `ERR`, and closing one makes room again.
+    #[test]
+    fn open_sessions_are_capped() {
+        use crate::session::MAX_OPEN_SESSIONS;
+        let svc = svc();
+        for _ in 0..MAX_OPEN_SESSIONS {
+            let open = handle_line(&svc, "OPEN fig3 3");
+            assert!(open.starts_with("OK session="), "{open}");
+        }
+        assert_eq!(
+            handle_line(&svc, "OPEN fig3 3"),
+            "ERR too many open sessions (limit 1024)"
+        );
+        assert_eq!(svc.stats().sessions_opened, MAX_OPEN_SESSIONS as u64);
+        assert!(handle_line(&svc, "CLOSE 1").starts_with("OK closed=1"));
+        let open = handle_line(&svc, "OPEN fig3 3");
+        assert!(open.starts_with("OK session="), "{open}");
     }
 
     /// The `done` field is derived from the session iterator, never from

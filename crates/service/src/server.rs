@@ -5,7 +5,9 @@
 //! compute nothing. Every batch query funnels into the service's fixed
 //! worker pool, so a burst of connections cannot oversubscribe the CPU:
 //! N connections share `workers` execution threads, queueing FIFO behind
-//! them, while session `NEXT` calls ride their own per-session threads.
+//! them. Session `NEXT` calls pull on the connection's own thread. A
+//! connection owns the sessions it opens: however it ends, it closes the
+//! ones it has not closed itself.
 //!
 //! The accept loops are load-safe: the errors sustained traffic provokes
 //! — `ECONNABORTED` from a client resetting mid-handshake, `EMFILE` /
@@ -20,7 +22,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{handle_line, HELP};
+use crate::error::ServiceError;
+use crate::protocol::{handle_owned_line, HELP};
 use crate::service::Service;
 
 /// Hard cap on one request line. A well-formed request is tens of bytes;
@@ -104,6 +107,25 @@ fn run_scrape(stream: TcpStream, svc: Arc<Service>, _options: ServerOptions) {
     // either way the socket closes on drop and the loop keeps accepting
     if let Err(e) = handle_scrape(stream, &svc) {
         eprintln!("metrics scrape: {e}");
+    }
+}
+
+/// The sessions one connection opened and has not closed. Dropping it
+/// closes them, so they end with the connection however it ends.
+struct OwnedSessions<'a> {
+    svc: &'a Service,
+    ids: Vec<u64>,
+}
+
+impl Drop for OwnedSessions<'_> {
+    fn drop(&mut self) {
+        for &id in &self.ids {
+            match self.svc.close_session(id) {
+                // already closed, through another connection
+                Ok(()) | Err(ServiceError::UnknownSession(_)) => {}
+                Err(e) => eprintln!("closing session {id}: {e}"),
+            }
+        }
     }
 }
 
@@ -221,7 +243,8 @@ fn accept_loop<A: Accept>(
     }
 }
 
-/// Serves one client until `QUIT`, EOF, or an I/O error.
+/// Serves one client until `QUIT`, EOF, or an I/O error, then closes the
+/// sessions it left open.
 pub fn handle_connection(stream: TcpStream, svc: &Arc<Service>) -> io::Result<()> {
     handle_connection_with(stream, svc, ServerOptions::default())
 }
@@ -245,6 +268,10 @@ pub fn handle_connection_with(
     if send_reply(&mut stream, svc, banner.as_bytes()).is_err() {
         return Ok(());
     }
+    let mut sessions = OwnedSessions {
+        svc,
+        ids: Vec::new(),
+    };
     let mut buf: Vec<u8> = Vec::new();
     loop {
         buf.clear();
@@ -259,7 +286,7 @@ pub fn handle_connection_with(
             }
             LineRead::Line => String::from_utf8_lossy(&buf),
         };
-        let mut reply = handle_line(svc, &line);
+        let mut reply = handle_owned_line(svc, &line, &mut sessions.ids);
         if !reply.is_empty() {
             reply.push('\n');
             if send_reply(&mut stream, svc, reply.as_bytes()).is_err() {
@@ -412,6 +439,7 @@ fn drain_line(reader: &mut impl BufRead) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::handle_line;
     use crate::service::ServiceConfig;
     use ic_graph::paper::figure3;
     use std::collections::VecDeque;
@@ -816,6 +844,68 @@ mod tests {
             "half-open mid-line client must be closed, got {line:?}"
         );
         assert_eq!(svc.stats().queries, before, "partial line never executed");
+    }
+
+    /// Live threads of this process, from `/proc/self/status` (Linux).
+    fn thread_count() -> Option<usize> {
+        std::fs::read_to_string("/proc/self/status")
+            .ok()?
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))?
+            .trim()
+            .parse()
+            .ok()
+    }
+
+    /// A connection owns the sessions it opens: a client that opens 500
+    /// and disconnects without `CLOSE` or `QUIT` leaves no session and no
+    /// thread behind.
+    #[test]
+    fn disconnect_closes_the_connections_sessions() {
+        let svc = test_service();
+        assert!(handle_line(&svc, "GEN g gnm 2000 8000 1").starts_with("OK"));
+        let baseline = thread_count();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc_for_server = Arc::clone(&svc);
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            handle_connection(stream, &svc_for_server)
+        });
+
+        let client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut writer = BufWriter::new(client);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap(); // banner
+        for _ in 0..500 {
+            writeln!(writer, "OPEN g 2").unwrap();
+        }
+        writer.flush().unwrap();
+        for _ in 0..500 {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("OK session="), "{line}");
+        }
+        assert_eq!(svc.open_session_ids().len(), 500);
+        drop(reader);
+        drop(writer);
+
+        server.join().unwrap().unwrap();
+        assert!(svc.open_session_ids().is_empty());
+        assert_eq!(svc.stats().sessions_opened, 500);
+        assert_eq!(svc.stats().sessions_closed, 500);
+        // Tests in this binary run in parallel and start threads of their
+        // own, so the count is only back to its baseline within a margin
+        // far below the 500 a thread per session would leave.
+        if let Some(baseline) = baseline {
+            assert!(
+                wait_until(Duration::from_secs(5), || thread_count()
+                    .is_some_and(|t| t <= baseline + 32)),
+                "threads: baseline {baseline}, now {:?}",
+                thread_count()
+            );
+        }
     }
 
     /// Replies larger than a write buffer must not stall. When a reply

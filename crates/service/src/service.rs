@@ -46,7 +46,7 @@ use crate::persist::Persistence;
 use crate::planner::{plan_stored, Explain, Mode, Query};
 use crate::pool::WorkerPool;
 use crate::registry::{GraphRegistry, RegisteredGraph};
-use crate::session::Session;
+use crate::session::{Session, MAX_OPEN_SESSIONS};
 use crate::stats::{ServiceStats, StatsRecorder};
 use crate::sync::{lock_or_poison, read_or_poison, write_or_poison};
 
@@ -181,7 +181,7 @@ pub struct Service {
     stats: StatsRecorder,
     metrics: ServiceMetrics,
     pool: WorkerPool,
-    sessions: Mutex<HashMap<u64, Session>>,
+    sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_session_id: AtomicU64,
     /// Per-name dynamic overlays, created lazily by the first update.
     /// Queries only take the cheap read path (absent for static graphs).
@@ -893,13 +893,19 @@ impl Service {
     // ----- progressive sessions ----------------------------------------
 
     /// Opens a progressive session on a registered graph; returns its id.
+    /// At most [`MAX_OPEN_SESSIONS`] may be open at once; past that,
+    /// [`ServiceError::TooManySessions`] until one closes.
     pub fn open_session(&self, graph: &str, gamma: u32) -> Result<u64, ServiceError> {
         let entry = self.registry.get(graph)?;
         // progressive sessions need random access to the adjacency, so
         // file-backed stores are rejected with the typed storage error
-        let session = Session::open(graph, Arc::clone(entry.memory()?), gamma)?;
+        let session = Arc::new(Session::open(graph, Arc::clone(entry.memory()?), gamma)?);
+        let mut sessions = lock_or_poison(&self.sessions);
+        if sessions.len() >= MAX_OPEN_SESSIONS {
+            return Err(ServiceError::TooManySessions);
+        }
         let id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
-        lock_or_poison(&self.sessions).insert(id, session);
+        sessions.insert(id, session);
         self.stats.record_session_opened();
         Ok(id)
     }
@@ -920,34 +926,37 @@ impl Service {
         id: u64,
         n: usize,
     ) -> Result<(Vec<Community>, bool), ServiceError> {
-        // Hold the table lock only for the lookup: the batch is pulled
-        // through a detached client so other sessions stay reachable
-        // while this one's iterator works.
-        let client = {
-            let sessions = lock_or_poison(&self.sessions);
-            let session = sessions.get(&id).ok_or(ServiceError::UnknownSession(id))?;
-            session.client()?
-        };
-        let (batch, done) = client.next_batch(n)?;
-        self.stats.record_streamed(batch.len());
-        Ok((batch, done))
+        self.session_pull(id, n)
+            .map(|(_, batch, done)| (batch, done))
     }
 
-    /// Closes a session, joining its worker thread.
-    pub fn close_session(&self, id: u64) -> Result<(), ServiceError> {
+    /// [`Service::session_next_full`] plus the graph instance the batch's
+    /// ranks belong to, from one session lookup.
+    pub(crate) fn session_pull(
+        &self,
+        id: u64,
+        n: usize,
+    ) -> Result<(Arc<WeightedGraph>, Vec<Community>, bool), ServiceError> {
+        // The table lock covers only the lookup; the pull runs under the
+        // session's own lock, so other sessions stay reachable meanwhile.
+        let unknown = || ServiceError::UnknownSession(id);
         let session = lock_or_poison(&self.sessions)
+            .get(&id)
+            .cloned()
+            .ok_or_else(unknown)?;
+        let (batch, done) = session.next_batch(n).ok_or_else(unknown)?;
+        self.stats.record_streamed(batch.len());
+        Ok((session.graph_instance(), batch, done))
+    }
+
+    /// Closes a session. A `NEXT` already pulling from it finishes its
+    /// batch; later ones get [`ServiceError::UnknownSession`].
+    pub fn close_session(&self, id: u64) -> Result<(), ServiceError> {
+        lock_or_poison(&self.sessions)
             .remove(&id)
             .ok_or(ServiceError::UnknownSession(id))?;
-        drop(session);
         self.stats.record_session_closed();
         Ok(())
-    }
-
-    /// The graph name a session streams from, if the session is open.
-    pub fn session_graph_name(&self, id: u64) -> Option<String> {
-        lock_or_poison(&self.sessions)
-            .get(&id)
-            .map(|s| s.graph.clone())
     }
 
     /// The exact graph instance a session streams from, if the session is

@@ -18,8 +18,10 @@
 //! — unwinding on every subsequent acquisition — converts one caught
 //! panic into a permanent denial of service for every later
 //! connection, which is exactly the failure mode the serving path must
-//! not have. Code that *does* want to observe poisoning (none today)
-//! should call `lock()` directly and say why.
+//! not have. Code that *does* want to observe poisoning should call
+//! `lock()` directly and say why: a progressive session does, since its
+//! iterator is consistent only between rounds
+//! ([`crate::session::Session`]).
 //!
 //! These helpers are also what the `ic-lint` IC-LOCK check recognizes
 //! as guard producers, so converting a call site keeps it visible to

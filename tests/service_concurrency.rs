@@ -494,3 +494,63 @@ fn replace_graph_mid_flight_never_serves_stale_answers() {
         "each generation must have computed at least once: {stats:?}"
     );
 }
+
+/// `CLOSE` racing an in-flight `NEXT`: the pull that already holds the
+/// session finishes its batch (no hang, no `WorkerGone`), and every later
+/// `NEXT` finds the session gone.
+#[test]
+fn close_racing_next_lets_the_inflight_pull_finish() {
+    use influential_communities::service::{ServiceError, SyntheticSpec};
+    use std::sync::Barrier;
+    use std::time::{Duration, Instant};
+
+    let svc = Service::new(ServiceConfig {
+        workers: 2,
+        cache_capacity: 16,
+        cache_shards: 2,
+        ..ServiceConfig::default()
+    });
+    svc.register_synthetic(
+        "big",
+        SyntheticSpec::Gnm {
+            n: 3_000,
+            m: 12_000,
+            seed: 7,
+        },
+    );
+    let id = svc.open_session("big", 2).unwrap();
+    let start = Arc::new(Barrier::new(2));
+    let puller = {
+        let svc = Arc::clone(&svc);
+        let start = Arc::clone(&start);
+        std::thread::spawn(move || {
+            start.wait();
+            let batch = svc.session_next(id, 10_000);
+            (batch, Instant::now())
+        })
+    };
+    start.wait();
+    std::thread::sleep(Duration::from_millis(20));
+    svc.close_session(id).expect("CLOSE of an open session");
+    let closed_at = Instant::now();
+    let (batch, pulled_at) = puller.join().expect("puller did not panic");
+    let batch = batch.expect("the in-flight pull gets its batch");
+    assert!(!batch.is_empty());
+    assert!(
+        closed_at < pulled_at,
+        "the pull should still have been running when CLOSE returned"
+    );
+    assert_eq!(
+        svc.session_next(id, 1),
+        Err(ServiceError::UnknownSession(id))
+    );
+
+    // the interrupted batch is the stream's true prefix
+    let fresh = svc.open_session("big", 2).unwrap();
+    let reference = svc.session_next(fresh, 10).unwrap();
+    for (a, b) in batch.iter().zip(&reference) {
+        assert_eq!(a.keynode, b.keynode);
+        assert_eq!(a.members, b.members);
+    }
+    assert_eq!(svc.stats().sessions_closed, 1);
+}
