@@ -1,11 +1,12 @@
 //! Serving-layer throughput: queries/sec through the full service stack
 //! (planner + pool + cache) — cold (cache defeated by re-registration)
-//! vs cached, and a fixed 64-query mixed workload fanned out over
-//! 1 / 2 / 4 worker threads.
+//! vs cached, a fixed 64-query mixed workload fanned out over
+//! 1 / 2 / 4 worker threads, and the whole protocol reply of a cached
+//! answer (`reply_cached_k64`, about 230 KB of wire text).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ic_bench::{dataset, Scale};
-use ic_service::{Query, Service, ServiceConfig};
+use ic_service::{protocol, Query, Service, ServiceConfig};
 use std::time::Duration;
 
 fn service_with(workers: usize) -> std::sync::Arc<Service> {
@@ -49,6 +50,14 @@ fn bench(c: &mut Criterion) {
     let _ = svc.query(Query::new("email", 8, 32)).unwrap(); // prime
     group.bench_function("query_cached_k32", |b| {
         b.iter(|| black_box(svc.query(Query::new("email", 8, 32)).unwrap()))
+    });
+
+    // a cached answer's reply: cache probe plus the `C` block of 64
+    // communities on a G(n = 2000, m = 8000) graph
+    let _ = protocol::handle_line(&svc, "GEN g gnm 2000 8000 1");
+    let _ = protocol::handle_line(&svc, "QUERY g 4 64"); // prime
+    group.bench_function("reply_cached_k64", |b| {
+        b.iter(|| black_box(protocol::handle_line(&svc, "QUERY g 4 64")))
     });
 
     // mixed 64-query workload, issued from the bench thread, executed by

@@ -19,6 +19,13 @@
 //! so all of a lane's entries colocate and the prefix scan never crosses
 //! a shard boundary.
 //!
+//! Every entry also holds the wire rendering of its whole community list,
+//! filled the first time the entry is *re-used* — a miss stores none, so
+//! a workload of distinct queries retains no text. Since each `C` line
+//! renders on its own, the first k communities of that text are the `C`
+//! block of every answer the entry serves, exact or prefix: a re-used
+//! answer is rendered once and copied after that.
+//!
 //! Eviction is exact LRU per shard, implemented with a monotone use-tick
 //! per entry and a linear min-scan on overflow. Shards are small (total
 //! capacity / shard count), so the scan is a handful of comparisons —
@@ -27,10 +34,12 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use ic_core::{AnswerFamily, Community};
+use ic_graph::GraphStore;
 
+use crate::protocol::Rendering;
 use crate::sync::lock_or_poison;
 
 /// Cache key: the query triple that determines the answer, the *answer
@@ -81,6 +90,38 @@ impl CacheKey {
 pub struct CacheHit {
     pub communities: Arc<Vec<Community>>,
     pub exact: bool,
+    /// The entry that answered, whose rendering the reply is cut from.
+    pub(crate) donor: Arc<CachedAnswer>,
+}
+
+/// One cached answer: its communities and, once the entry is re-used,
+/// their wire rendering.
+#[derive(Debug)]
+pub(crate) struct CachedAnswer {
+    communities: Arc<Vec<Community>>,
+    rendering: OnceLock<Rendering>,
+}
+
+impl CachedAnswer {
+    fn new(communities: Arc<Vec<Community>>) -> Self {
+        CachedAnswer {
+            communities,
+            rendering: OnceLock::new(),
+        }
+    }
+
+    /// The rendering of the whole answer, filled by the first caller.
+    /// `store` must be the instance the answer was computed against —
+    /// the one a hit's response carries, since keys carry the
+    /// generation.
+    pub(crate) fn rendering(&self, store: &GraphStore) -> &Rendering {
+        self.rendering
+            .get_or_init(|| Rendering::of(&self.communities, store))
+    }
+
+    fn rendered_bytes(&self) -> usize {
+        self.rendering.get().map_or(0, Rendering::len)
+    }
 }
 
 /// The first `k` communities of a cached answer. Shares the `Arc` when
@@ -96,7 +137,7 @@ pub fn slice_prefix(value: &Arc<Vec<Community>>, k: usize) -> Arc<Vec<Community>
 
 #[derive(Debug)]
 struct Entry {
-    value: Arc<Vec<Community>>,
+    answer: Arc<CachedAnswer>,
     last_used: u64,
 }
 
@@ -106,7 +147,7 @@ impl Entry {
     /// (k′ ≥ k), or its answer ran out before k′ — the enumeration is
     /// exhausted and the entry holds every community there is.
     fn covers(&self, stored_k: usize, k: usize) -> bool {
-        stored_k >= k || self.value.len() < stored_k
+        stored_k >= k || self.answer.communities.len() < stored_k
     }
 }
 
@@ -148,7 +189,7 @@ impl ResultCache {
         let tick = shard.tick;
         shard.map.get_mut(key).map(|e| {
             e.last_used = tick;
-            e.value.clone()
+            e.answer.communities.clone()
         })
     }
 
@@ -164,8 +205,9 @@ impl ResultCache {
         if let Some(e) = shard.map.get_mut(key) {
             e.last_used = tick;
             return Some(CacheHit {
-                communities: e.value.clone(),
+                communities: e.answer.communities.clone(),
                 exact: true,
+                donor: e.answer.clone(),
             });
         }
         if key.family != AnswerFamily::Core {
@@ -177,11 +219,12 @@ impl ResultCache {
             .iter_mut()
             .filter(|(stored, e)| stored.same_lane(key) && e.covers(stored.k, key.k))
             // prefer the tightest covering entry: least communities cloned
-            .min_by_key(|(_, e)| e.value.len())?;
+            .min_by_key(|(_, e)| e.answer.communities.len())?;
         donor.1.last_used = tick;
         Some(CacheHit {
-            communities: slice_prefix(&donor.1.value, key.k),
+            communities: slice_prefix(&donor.1.answer.communities, key.k),
             exact: false,
+            donor: donor.1.answer.clone(),
         })
     }
 
@@ -204,7 +247,7 @@ impl ResultCache {
         shard.map.insert(
             key,
             Entry {
-                value,
+                answer: Arc::new(CachedAnswer::new(value)),
                 last_used: tick,
             },
         );
@@ -237,6 +280,21 @@ impl ResultCache {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes of wire text the entries' renderings hold (approximate under
+    /// concurrent mutation, like [`ResultCache::len`]).
+    pub fn rendered_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                lock_or_poison(s)
+                    .map
+                    .values()
+                    .map(|e| e.answer.rendered_bytes())
+                    .sum::<usize>()
+            })
+            .sum()
     }
 }
 

@@ -212,7 +212,7 @@ fn dispatch(
         "QUERY" => {
             let query = parse_query(&verb, &args)?;
             let resp = svc.query(query)?;
-            Ok(format_query_response(&resp))
+            Ok(query_reply(&resp))
         }
         // the raw tail (not the token list): sub-queries separate on ';'
         // however the client spaces them
@@ -324,14 +324,16 @@ fn dispatch(
             }
             out.push_str(&format!(
                 " mean_latency_micros={} sessions_opened={} sessions_closed={} \
-                 streamed={} graphs={} cached_entries={} accept_errors={} \
-                 write_errors={} live_connections={}",
+                 sessions_open={} streamed={} graphs={} cached_entries={} \
+                 rendered_bytes={} accept_errors={} write_errors={} live_connections={}",
                 s.mean_latency().as_micros(),
                 s.sessions_opened,
                 s.sessions_closed,
+                svc.sessions_open(),
                 s.communities_streamed,
                 svc.graphs().len(),
                 svc.cache_len(),
+                svc.cache_rendered_bytes(),
                 s.accept_errors,
                 s.write_errors,
                 svc.metrics().live_connections(),
@@ -422,35 +424,25 @@ fn handle_batch(svc: &Arc<Service>, tail: &str) -> Result<String, ServiceError> 
         queries.push(parse_query("BATCH", &tokens)?);
     }
     let results = svc.query_batch(&queries);
-    Ok(format!(
-        "OK batch={}{}\nEND",
-        results.len(),
-        BatchSlots(&results)
-    ))
-}
-
-/// The `R` slot lines of a `BATCH` reply, each followed by its `C`
-/// lines, rendered straight into the reply buffer.
-struct BatchSlots<'a>(&'a [Result<QueryResponse, ServiceError>]);
-
-impl fmt::Display for BatchSlots<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, result) in self.0.iter().enumerate() {
-            match result {
-                Ok(resp) => write!(
-                    f,
-                    "\nR {i} OK algo={} cached={} coalesced={} count={}{}",
+    let slots: Vec<(String, Block<'_>)> = results
+        .iter()
+        .enumerate()
+        .map(|(i, result)| match result {
+            Ok(resp) => (
+                format!(
+                    "\nR {i} OK algo={} cached={} coalesced={} count={}",
                     resp.explain.algorithm,
                     resp.cached,
                     resp.coalesced,
                     resp.communities.len(),
-                    CommunityLines(&resp.communities, &resp.graph_instance)
-                )?,
-                Err(e) => write!(f, "\nR {i} ERR {e}")?,
-            }
-        }
-        Ok(())
-    }
+                ),
+                Block::of(resp),
+            ),
+            // an error slot has no `C` lines
+            Err(e) => (format!("\nR {i} ERR {e}"), Block::Stored("")),
+        })
+        .collect();
+    Ok(assemble(&format!("OK batch={}", results.len()), &slots))
 }
 
 /// `EXPLAIN ANALYZE <graph> <gamma> <k> [mode]`: run the query through
@@ -576,19 +568,124 @@ fn parse_update<'a>(verb: &str, args: &[&'a str]) -> Result<(&'a str, UpdateOp),
     Ok((graph, op))
 }
 
-fn format_query_response(resp: &QueryResponse) -> String {
-    // translate through the instance the query actually ran against,
-    // never a fresh registry lookup (the name may have been re-registered
-    // to a graph with a different rank space since)
-    format!(
-        "OK algo={} cached={} coalesced={} micros={} count={}{}\nEND",
+fn query_reply(resp: &QueryResponse) -> String {
+    let head = format!(
+        "OK algo={} cached={} coalesced={} micros={} count={}",
         resp.explain.algorithm,
         resp.cached,
         resp.coalesced,
         resp.latency.as_micros(),
         resp.communities.len(),
-        CommunityLines(&resp.communities, &resp.graph_instance)
-    )
+    );
+    assemble(&head, &[(String::new(), Block::of(resp))])
+}
+
+/// The terminator of every community-bearing reply.
+const END: &str = "\nEND";
+
+/// Assembles a community-bearing reply: `head`, then each slot's line
+/// and `C` block, then [`END`]. When every block is [`Block::Stored`]
+/// the reply is a concatenation of known slices, so its exact length —
+/// with the `\n` the server appends — is reserved up front and the
+/// buffer never grows. Otherwise fresh blocks render straight into the
+/// reply as it grows.
+fn assemble(head: &str, slots: &[(String, Block<'_>)]) -> String {
+    let mut parts = vec![head];
+    for (line, block) in slots {
+        match block {
+            Block::Stored(text) => parts.extend([line.as_str(), *text]),
+            Block::Fresh(_) => return format!("{head}{}{END}", Slots(slots)),
+        }
+    }
+    parts.push(END);
+    let mut reply = String::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + 1);
+    for part in parts {
+        reply.push_str(part);
+    }
+    reply
+}
+
+/// The `C` block of one answer.
+enum Block<'a> {
+    /// A prefix of the stored rendering of the cache entry the answer
+    /// re-used.
+    Stored(&'a str),
+    /// An answer computed for this request, rendered as the reply is
+    /// written; nothing is stored.
+    Fresh(CommunityLines<'a>),
+}
+
+impl<'a> Block<'a> {
+    /// The block of `resp`. An answer re-using a cache entry is cut from
+    /// the entry's rendering, which its first re-use fills. Members are
+    /// translated through the instance the query ran against, never a
+    /// fresh registry lookup (the name may have been re-registered to a
+    /// graph with a different rank space since); cache keys carry the
+    /// generation, so that instance is the entry's rank space too.
+    fn of(resp: &'a QueryResponse) -> Self {
+        match &resp.donor {
+            Some(donor) => Block::Stored(
+                donor
+                    .rendering(&resp.graph_instance)
+                    .prefix(resp.communities.len()),
+            ),
+            None => Block::Fresh(CommunityLines(&resp.communities, &resp.graph_instance)),
+        }
+    }
+}
+
+/// Slot lines and their blocks, written in order.
+struct Slots<'s, 'a>(&'s [(String, Block<'a>)]);
+
+impl fmt::Display for Slots<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (line, block) in self.0 {
+            f.write_str(line)?;
+            match block {
+                Block::Stored(text) => f.write_str(text)?,
+                Block::Fresh(lines) => fmt::Display::fmt(lines, f)?,
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The `C` lines of a whole answer, rendered once by [`CommunityLines`],
+/// with the byte end of each community's line. Each line renders on its
+/// own, so the first k communities — the answer to every k no larger —
+/// are a byte prefix of the text.
+#[derive(Debug)]
+pub(crate) struct Rendering {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Rendering {
+    pub(crate) fn of(communities: &[Community], store: &GraphStore) -> Self {
+        let mut text = CommunityLines(communities, store).to_string();
+        text.shrink_to_fit();
+        // each community's line starts with the only newline in it, so a
+        // community ends where the next line starts
+        let mut ends: Vec<usize> = text.match_indices('\n').skip(1).map(|(at, _)| at).collect();
+        if !text.is_empty() {
+            ends.push(text.len());
+        }
+        Rendering { text, ends }
+    }
+
+    /// The `C` block of the first `k` communities (of all, if fewer).
+    pub(crate) fn prefix(&self, k: usize) -> &str {
+        let end = k
+            .min(self.ends.len())
+            .checked_sub(1)
+            .map_or(0, |last| self.ends[last]);
+        &self.text[..end]
+    }
+
+    /// Bytes of wire text held.
+    pub(crate) fn len(&self) -> usize {
+        self.text.len()
+    }
 }
 
 /// The `C` lines of a community-bearing reply (`QUERY`, `BATCH`,
@@ -687,16 +784,58 @@ mod tests {
 
     /// Asserts that a `QUERY` reply's lines after its header (which
     /// carries the run-dependent `micros=`) are the reference rendering of
-    /// the same answer, re-fetched from the cache.
-    fn assert_query_matches_reference(svc: &Arc<Service>, graph: &str, gamma: u32, k: usize) {
+    /// the same answer, re-fetched from the cache, in the rank space of
+    /// the instance that answered. Returns the reply's header.
+    fn assert_query_matches_reference(
+        svc: &Arc<Service>,
+        graph: &str,
+        gamma: u32,
+        k: usize,
+    ) -> String {
         let reply = handle_line(svc, &format!("QUERY {graph} {gamma} {k}"));
         assert!(reply.starts_with("OK "), "{reply}");
         let resp = svc.query(Query::new(graph, gamma, k)).unwrap();
         assert!(resp.cached, "the reference renders the answer QUERY sent");
         let expected = reference_community_lines(&resp.communities, &resp.graph_instance);
         assert!(!expected.is_empty(), "{graph} {gamma} {k}: empty answer");
-        let body = &reply[reply.find('\n').unwrap()..];
+        let (head, body) = reply.split_at(reply.find('\n').unwrap());
         assert_eq!(body, format!("{expected}\nEND"), "{graph} {gamma} {k}");
+        head.to_string()
+    }
+
+    /// The reply a `BATCH` line must get: each slot's header from `twin`
+    /// (a service in the same cache state), its `C` lines from the
+    /// reference rendering.
+    fn reference_batch_reply(twin: &Arc<Service>, batch: &str) -> String {
+        let queries: Vec<Query> = batch
+            .split(';')
+            .map(|s| {
+                let t: Vec<&str> = s.split_ascii_whitespace().collect();
+                Query::new(t[0], t[1].parse().unwrap(), t[2].parse().unwrap())
+            })
+            .collect();
+        let results = twin.query_batch(&queries);
+        let mut expected = format!("OK batch={}", results.len());
+        for (i, result) in results.iter().enumerate() {
+            match result {
+                Ok(resp) => {
+                    expected.push_str(&format!(
+                        "\nR {i} OK algo={} cached={} coalesced={} count={}",
+                        resp.explain.algorithm,
+                        resp.cached,
+                        resp.coalesced,
+                        resp.communities.len()
+                    ));
+                    expected.push_str(&reference_community_lines(
+                        &resp.communities,
+                        &resp.graph_instance,
+                    ));
+                }
+                Err(e) => expected.push_str(&format!("\nR {i} ERR {e}")),
+            }
+        }
+        expected.push_str("\nEND");
+        expected
     }
 
     /// A graph whose external ids are `0`, one value of every length
@@ -704,10 +843,15 @@ mod tests {
     /// weights of mixed magnitude and fraction ordered unlike the ids —
     /// so every community lists ids of every width, re-sorted from rank
     /// order, next to an influence exercising `f64` `{}` formatting.
-    fn extreme_id_graph() -> ic_graph::WeightedGraph {
+    /// `reversed` hands the same ids out in reverse: the same ranks and
+    /// answers, under different external ids.
+    fn extreme_id_graph(reversed: bool) -> ic_graph::WeightedGraph {
         let mut ids = vec![0u64];
         ids.extend((0..19).map(|d| 10u64.pow(d) + u64::from(d) + 1));
         ids.extend([10u64.pow(19), u64::MAX]);
+        if reversed {
+            ids.reverse();
+        }
         let weights = [
             0.1,
             1e-7,
@@ -760,7 +904,7 @@ mod tests {
         }
 
         // extreme ids, memory-resident and file-backed
-        svc.register("ids", extreme_id_graph());
+        svc.register("ids", extreme_id_graph(false));
         assert_query_matches_reference(&svc, "ids", 2, 100);
         let dir = ic_graph::scratch::ScratchDir::new("ic-protocol-golden");
         let path = dir.file("ids.icsr");
@@ -779,42 +923,26 @@ mod tests {
         let fresh = || {
             let s = super::tests::svc();
             assert!(handle_line(&s, "GEN toy gnm 300 1200 7").starts_with("OK"));
-            s.register("ids", extreme_id_graph());
+            s.register("ids", extreme_id_graph(false));
             s
         };
         let (svc, twin) = (fresh(), fresh());
         let batch = "fig3 3 4 ; toy 2 40 ; nope 1 1 ; ids 3 100 ; fig3 1 20";
-        let queries: Vec<Query> = batch
-            .split(';')
-            .filter(|s| !s.contains("nope"))
-            .map(|s| {
-                let t: Vec<&str> = s.split_ascii_whitespace().collect();
-                Query::new(t[0], t[1].parse().unwrap(), t[2].parse().unwrap())
-            })
-            .collect();
-        let mut results = twin.query_batch(&queries);
-        results.insert(2, Err(ServiceError::UnknownGraph("nope".into())));
-        let mut expected = format!("OK batch={}", results.len());
-        for (i, result) in results.iter().enumerate() {
-            match result {
-                Ok(resp) => {
-                    expected.push_str(&format!(
-                        "\nR {i} OK algo={} cached={} coalesced={} count={}",
-                        resp.explain.algorithm,
-                        resp.cached,
-                        resp.coalesced,
-                        resp.communities.len()
-                    ));
-                    expected.push_str(&reference_community_lines(
-                        &resp.communities,
-                        &resp.graph_instance,
-                    ));
-                }
-                Err(e) => expected.push_str(&format!("\nR {i} ERR {e}")),
-            }
-        }
-        expected.push_str("\nEND");
+        let expected = reference_batch_reply(&twin, batch);
         assert_eq!(handle_line(&svc, &format!("BATCH {batch}")), expected);
+        // the same BATCH again is answered from the cache: every group's
+        // lead hits, and its members share the lead's stored rendering,
+        // which this first re-use fills — so does the one after it
+        for _ in 0..2 {
+            let expected = reference_batch_reply(&twin, batch);
+            assert!(expected.contains("R 0 OK algo=local_search cached=true"));
+            assert_eq!(handle_line(&svc, &format!("BATCH {batch}")), expected);
+        }
+        assert!(svc.cache_rendered_bytes() > 0, "the batch re-used entries");
+        // mixed ks in one group, whose lead (k = 40) hits the toy entry
+        let mixed = "toy 2 3 ; toy 2 40 ; toy 2 17 ; toy 2 1";
+        let expected = reference_batch_reply(&twin, mixed);
+        assert_eq!(handle_line(&svc, &format!("BATCH {mixed}")), expected);
 
         for (graph, gamma) in [("fig3", 3), ("toy", 2), ("ids", 2)] {
             let open = handle_line(&svc, &format!("OPEN {graph} {gamma}"));
@@ -832,6 +960,130 @@ mod tests {
                 assert_eq!(handle_line(&svc, &format!("NEXT {id} {n}")), expected);
             }
         }
+    }
+
+    /// Answers that re-use a cache entry reply with a prefix of the
+    /// entry's stored rendering; every such block equals the reference
+    /// rendering of the instance that answered.
+    #[test]
+    fn cached_replies_match_the_reference_rendering() {
+        let svc = svc();
+        assert!(handle_line(&svc, "GEN toy gnm 300 1200 7").starts_with("OK"));
+        let query = |gamma, k| assert_query_matches_reference(&svc, "toy", gamma, k);
+
+        // a miss stores nothing; the first exact hit fills the entry, the
+        // next one replies from it
+        assert!(query(2, 40).contains("cached=false"));
+        assert_eq!(svc.cache_rendered_bytes(), 0);
+        assert!(query(2, 40).contains("cached=true"));
+        let filled = svc.cache_rendered_bytes();
+        assert!(filled > 0);
+        assert!(query(2, 40).contains("cached=true"));
+        // a prefix-served hit (k < the donor's k) is cut from the same text
+        for k in [1, 10, 39] {
+            assert!(query(2, k).contains("cached=true coalesced=false"));
+        }
+        assert_eq!(svc.cache_rendered_bytes(), filled, "filled once");
+        assert_eq!(svc.stats().prefix_served, 6, "each k twice");
+
+        // an exhausted donor (fewer communities than its k) asked for more
+        let all = svc.query(Query::new("toy", 3, 100_000)).unwrap();
+        let n = all.communities.len();
+        assert!(!all.cached && n > 1 && n < 100_000, "{n}");
+        for k in [200_000, n + 1, n, n - 1, 1] {
+            let head = query(3, k);
+            assert!(head.contains("cached=true"), "{head}");
+            assert!(head.ends_with(&format!("count={}", k.min(n))), "{head}");
+        }
+
+        // re-registered under the same name with other external ids: the
+        // new generation's entry renders in the new instance's id space
+        svc.register("ids", extreme_id_graph(false));
+        let before: Vec<String> = (0..3)
+            .map(|_| handle_line(&svc, "QUERY ids 2 100"))
+            .collect();
+        assert_query_matches_reference(&svc, "ids", 2, 100);
+        svc.register("ids", extreme_id_graph(true));
+        for _ in 0..3 {
+            assert_query_matches_reference(&svc, "ids", 2, 100);
+            assert_query_matches_reference(&svc, "ids", 2, 5);
+        }
+        let after = handle_line(&svc, "QUERY ids 2 100");
+        let block = |reply: &str| reply[reply.find('\n').unwrap()..].to_string();
+        assert_ne!(block(&before[2]), block(&after), "the ids changed");
+        assert_eq!(block(&before[1]), block(&before[2]));
+    }
+
+    /// Renderings are kept only for re-used entries and go with them: a
+    /// workload of distinct queries retains no text.
+    #[test]
+    fn renderings_are_retained_only_for_re_used_entries() {
+        let svc = svc();
+        assert!(handle_line(&svc, "GEN toy gnm 300 1200 7").starts_with("OK"));
+        let rendered = || -> usize {
+            let stats = handle_line(&svc, "STATS");
+            let field = stats
+                .split_ascii_whitespace()
+                .find_map(|t| t.strip_prefix("rendered_bytes="))
+                .unwrap_or_else(|| panic!("no rendered_bytes in {stats}"));
+            field.parse().unwrap()
+        };
+        let gammas = 1..=6u32;
+        for gamma in gammas.clone() {
+            assert!(handle_line(&svc, &format!("QUERY toy {gamma} 30")).contains("cached=false"));
+        }
+        assert!(handle_line(&svc, "STATS").contains(" hits=0 misses=6 "));
+        assert_eq!(rendered(), 0, "distinct cold queries");
+
+        // one repeat fills exactly the entry's text
+        let text_len = |gamma: u32| {
+            let resp = svc.query(Query::new("toy", gamma, 30)).unwrap();
+            reference_community_lines(&resp.communities, &resp.graph_instance).len()
+        };
+        assert!(handle_line(&svc, "QUERY toy 2 30").contains("cached=true"));
+        assert_eq!(rendered(), text_len(2));
+        assert!(handle_line(&svc, "QUERY toy 2 7").contains("cached=true"));
+        assert_eq!(rendered(), text_len(2), "a prefix re-uses the text");
+
+        // COMMIT starts a new generation: the old entries, and their
+        // text, are dropped
+        assert!(handle_line(&svc, "UPDATE toy ADDV 100000 1.0").starts_with("OK"));
+        assert!(handle_line(&svc, "COMMIT toy").starts_with("OK"));
+        assert_eq!(rendered(), 0, "after COMMIT");
+
+        // and so does re-registration
+        for _ in 0..2 {
+            handle_line(&svc, "QUERY toy 4 30");
+        }
+        assert_eq!(rendered(), text_len(4));
+        assert!(handle_line(&svc, "GEN toy gnm 300 1200 7").starts_with("OK"));
+        assert_eq!(rendered(), 0, "after re-registration");
+    }
+
+    /// The stored rendering's community ends cut every prefix, including
+    /// the empty one and those past the end.
+    #[test]
+    fn rendering_prefixes_end_on_community_boundaries() {
+        let graph = Arc::new(figure3());
+        let communities = ic_core::TopKQuery::new(2)
+            .k(10)
+            .run(&graph)
+            .unwrap()
+            .communities;
+        let g = GraphStore::Memory(graph);
+        assert!(communities.len() > 2);
+        let rendering = Rendering::of(&communities, &g);
+        for k in 0..=communities.len() + 2 {
+            let head = &communities[..k.min(communities.len())];
+            assert_eq!(
+                rendering.prefix(k),
+                reference_community_lines(head, &g),
+                "k={k}"
+            );
+        }
+        assert_eq!(rendering.len(), rendering.prefix(usize::MAX).len());
+        let empty = Rendering::of(&[], &g);
+        assert_eq!((empty.prefix(0), empty.prefix(3), empty.len()), ("", "", 0));
     }
 
     #[test]

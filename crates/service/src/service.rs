@@ -38,7 +38,7 @@ use ic_graph::generators::{assemble, barabasi_albert, gnm, rmat, RmatParams, Wei
 use ic_graph::{io, save_icsr, FileCsr, GraphStore, IoStats, WeightedGraph};
 use ic_obs::{QueryClass, QueryTrace, Stage};
 
-use crate::cache::{slice_prefix, CacheKey, ResultCache};
+use crate::cache::{slice_prefix, CacheHit, CacheKey, CachedAnswer, ResultCache};
 use crate::error::ServiceError;
 use crate::inflight::{InflightTable, Join};
 use crate::metrics::{ServiceMetrics, SlowQuery};
@@ -104,6 +104,10 @@ pub struct QueryResponse {
     /// reports them uniformly); `None` for cache hits, which executed
     /// nothing.
     pub search_stats: Option<SearchStats>,
+    /// The cache entry a hit re-used — `communities` is a prefix of its
+    /// answer — whose stored rendering the protocol replies with. `None`
+    /// for answers computed for this request.
+    pub(crate) donor: Option<Arc<CachedAnswer>>,
 }
 
 /// A deterministic synthetic-graph recipe, registrable by name.
@@ -536,15 +540,33 @@ impl Service {
         };
         trace.lap(Stage::Plan);
         let start = Instant::now();
-        let response = |communities, cached, coalesced, search_stats| QueryResponse {
+        let response = |communities, coalesced, search_stats| QueryResponse {
             graph: query.graph.clone(),
             graph_instance: entry.store.clone(),
             communities,
             explain: explain.clone(),
-            cached,
+            cached: false,
             coalesced,
             latency: start.elapsed(),
             search_stats,
+            donor: None,
+        };
+        // A hit answers from the entry it re-used, recorded by whether
+        // the key matched exactly or a larger-k entry was sliced.
+        let hit_response = |hit: CacheHit| {
+            let resp = QueryResponse {
+                cached: true,
+                donor: Some(hit.donor),
+                ..response(hit.communities, false, None)
+            };
+            let class = if hit.exact {
+                self.stats.record_hit(resp.latency);
+                QueryClass::Cached
+            } else {
+                self.stats.record_prefix_hit(resp.latency);
+                QueryClass::PrefixServed
+            };
+            (resp, class)
         };
         // Closes the trace and records it under `class`; response
         // assembly between the last lap and here lands in Serialize.
@@ -562,14 +584,7 @@ impl Service {
         loop {
             if let Some(hit) = self.cache.get_serving(&key) {
                 trace.lap(Stage::CacheProbe);
-                let resp = response(hit.communities, true, false, None);
-                let class = if hit.exact {
-                    self.stats.record_hit(resp.latency);
-                    QueryClass::Cached
-                } else {
-                    self.stats.record_prefix_hit(resp.latency);
-                    QueryClass::PrefixServed
-                };
+                let (resp, class) = hit_response(hit);
                 finish(trace, class);
                 return Ok(resp);
             }
@@ -584,14 +599,7 @@ impl Service {
                     if let Some(hit) = self.cache.get_serving(&key) {
                         trace.lap(Stage::CacheProbe);
                         flight.publish(Arc::clone(&hit.communities));
-                        let resp = response(hit.communities, true, false, None);
-                        let class = if hit.exact {
-                            self.stats.record_hit(resp.latency);
-                            QueryClass::Cached
-                        } else {
-                            self.stats.record_prefix_hit(resp.latency);
-                            QueryClass::PrefixServed
-                        };
+                        let (resp, class) = hit_response(hit);
                         finish(trace, class);
                         return Ok(resp);
                     }
@@ -617,7 +625,7 @@ impl Service {
                     let communities = Arc::new(result.communities);
                     self.cache.insert(key.clone(), communities.clone());
                     flight.publish(communities.clone());
-                    let resp = response(communities, false, false, Some(result.stats));
+                    let resp = response(communities, false, Some(result.stats));
                     self.stats.record_miss(explain.algorithm, resp.latency);
                     finish(trace, QueryClass::Cold);
                     return Ok(resp);
@@ -625,7 +633,7 @@ impl Service {
                 Join::Follower(Some(communities)) => {
                     // the blocked wait on the leader is execute-by-proxy
                     trace.lap(Stage::Execute);
-                    let resp = response(communities, false, true, None);
+                    let resp = response(communities, true, None);
                     self.stats.record_coalesced(resp.latency);
                     finish(trace, QueryClass::CoalescedFollower);
                     return Ok(resp);
@@ -721,10 +729,11 @@ impl Service {
             (0..queries.len()).map(|_| None).collect();
 
         // Group indices by (graph, generation, γ, family). Generation is
-        // resolved per request, so a registry swap mid-batch cleanly
-        // splits a name into two groups (the execution itself re-reads
-        // the registry, so each group races the swap exactly as its
-        // member queries would have individually — never staler).
+        // resolved once per name, so a registry swap mid-batch cannot
+        // split a name's same-lane requests into groups answered from two
+        // instances (each group's execution re-reads the registry, so it
+        // races the swap exactly as its member queries would have
+        // individually — never staler).
         struct Group {
             members: Vec<usize>, // request indices
             max_k: usize,
@@ -733,15 +742,19 @@ impl Service {
         type GroupKey = (String, u64, u32, ic_core::AnswerFamily, usize);
         let mut order: Vec<GroupKey> = Vec::new();
         let mut groups: HashMap<GroupKey, Group> = HashMap::new();
+        let mut generations: HashMap<&str, Result<u64, ServiceError>> = HashMap::new();
         for (i, q) in queries.iter().enumerate() {
             if let Err(e) = q.validate() {
                 results[i] = Some(Err(e));
                 continue;
             }
-            let entry = match self.registry.get(&q.graph) {
-                Ok(entry) => entry,
+            let generation = generations
+                .entry(&q.graph)
+                .or_insert_with(|| self.registry.get(&q.graph).map(|entry| entry.generation));
+            let generation = match generation {
+                Ok(generation) => *generation,
                 Err(e) => {
-                    results[i] = Some(Err(e));
+                    results[i] = Some(Err(e.clone()));
                     continue;
                 }
             };
@@ -754,7 +767,7 @@ impl Service {
                 ic_core::AnswerFamily::Core => 0,
                 _ => q.k,
             };
-            let key = (q.graph.clone(), entry.generation, q.gamma, family, k_lane);
+            let key = (q.graph.clone(), generation, q.gamma, family, k_lane);
             let group = groups.entry(key.clone()).or_insert_with(|| {
                 order.push(key);
                 Group {
@@ -885,6 +898,7 @@ impl Service {
                     } else {
                         None
                     },
+                    donor: group_resp.donor.clone(),
                 })
             })
             .collect()
@@ -966,6 +980,11 @@ impl Service {
         lock_or_poison(&self.sessions)
             .get(&id)
             .map(|s| s.graph_instance())
+    }
+
+    /// Number of currently open sessions.
+    pub(crate) fn sessions_open(&self) -> usize {
+        lock_or_poison(&self.sessions).len()
     }
 
     /// Ids of the currently open sessions.
@@ -1082,6 +1101,8 @@ impl Service {
             "counter",
         );
         p.sample("ic_sessions_closed_total", &[], stats.sessions_closed);
+        p.header("ic_sessions_open", "Progressive sessions open.", "gauge");
+        p.sample("ic_sessions_open", &[], self.sessions_open() as u64);
         p.header(
             "ic_communities_streamed_total",
             "Communities streamed by sessions.",
@@ -1177,6 +1198,16 @@ impl Service {
 
         p.header("ic_cache_entries", "Result-cache entries.", "gauge");
         p.sample("ic_cache_entries", &[], self.cache.len() as u64);
+        p.header(
+            "ic_cache_rendered_bytes",
+            "Wire-text bytes held by the renderings of re-used cache entries.",
+            "gauge",
+        );
+        p.sample(
+            "ic_cache_rendered_bytes",
+            &[],
+            self.cache.rendered_bytes() as u64,
+        );
         p.header("ic_graphs", "Registered graphs.", "gauge");
         p.sample("ic_graphs", &[], self.registry.list().len() as u64);
         p.header(
@@ -1288,6 +1319,12 @@ impl Service {
     /// Number of entries currently cached.
     pub fn cache_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Bytes of wire text held by the renderings of re-used cache
+    /// entries (`rendered_bytes` in `STATS`).
+    pub(crate) fn cache_rendered_bytes(&self) -> usize {
+        self.cache.rendered_bytes()
     }
 
     /// Empties the result cache (all graphs). Used by operators after

@@ -11,6 +11,7 @@ use std::sync::Arc;
 
 use influential_communities::dynamic::UpdateOp;
 use influential_communities::graph::generators::{assemble, barabasi_albert, gnm, WeightKind};
+use influential_communities::graph::{GraphBuilder, WeightedGraph};
 use influential_communities::search::query::Selection;
 use influential_communities::search::{Community, TopKQuery};
 use influential_communities::service::{Algorithm, Mode, Query, Service, ServiceConfig};
@@ -553,4 +554,186 @@ fn close_racing_next_lets_the_inflight_pull_finish() {
         assert_eq!(a.members, b.members);
     }
     assert_eq!(svc.stats().sessions_closed, 1);
+}
+
+/// `n` vertices with the edges of `gnm(n, 4n, seed)`, external id
+/// `id(v)` and a weight hashed from `v` — so graphs built with different
+/// `id` maps share their structure, ranks and answers, and differ only
+/// in the ids a reply prints.
+fn relabelled_gnm(n: usize, seed: u64, id: impl Fn(u64) -> u64) -> WeightedGraph {
+    let mut b = GraphBuilder::new();
+    for v in 0..n as u64 {
+        let w = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11) as f64 / (1u64 << 53) as f64;
+        b.set_weight(id(v), w);
+    }
+    for (u, v) in gnm(n, 4 * n, seed) {
+        b.add_edge(id(u64::from(u)), id(u64::from(v)));
+    }
+    b.build().expect("valid graph")
+}
+
+/// The wire form of `communities`' `C` lines, from the core answer and
+/// the graph's external ids.
+fn reference_block(g: &WeightedGraph, communities: &[Community]) -> String {
+    let mut out = String::new();
+    for c in communities {
+        let mut ids = c.external_members(g);
+        ids.sort_unstable();
+        let ids: Vec<String> = ids.iter().map(u64::to_string).collect();
+        out.push_str(&format!(
+            "\nC influence={} members={}",
+            c.influence,
+            ids.join(",")
+        ));
+    }
+    out
+}
+
+/// The `C` block of each answer in a `QUERY` or `BATCH` reply.
+fn c_blocks(reply: &str) -> Vec<String> {
+    assert!(
+        reply.starts_with("OK ") && reply.ends_with("\nEND"),
+        "{reply}"
+    );
+    assert!(!reply.contains("ERR"), "{reply}");
+    let mut blocks: Vec<String> = Vec::new();
+    for line in reply.lines() {
+        if line.starts_with("C ") {
+            let block = blocks
+                .last_mut()
+                .expect("a C line follows its answer's header");
+            block.push('\n');
+            block.push_str(line);
+        } else if line.starts_with("R ")
+            || (line.starts_with("OK ") && !line.starts_with("OK batch="))
+        {
+            blocks.push(String::new());
+        }
+    }
+    blocks
+}
+
+/// The request lines the rendering race sends, with the ks they ask for
+/// (one lane: every request is γ = 2 on `g`).
+const RACE_REQUESTS: [(&str, &[usize]); 4] = [
+    ("QUERY g 2 64", &[64]),
+    ("QUERY g 2 5", &[5]),
+    ("BATCH g 2 17 ; g 2 64 ; g 2 1", &[17, 64, 1]),
+    ("QUERY g 2 200", &[200]),
+];
+
+/// Cached replies are cut from one rendering per cache entry, filled by
+/// the entry's first re-use. 8 threads race that first fill through
+/// `handle_line` (exact hits, prefix-served hits and a `BATCH` on one
+/// lane) and every block must equal the reference. Then the graph is
+/// re-registered, alternating between two graphs with different edges
+/// and external ids, while the threads query on: no reply may mix rank
+/// spaces — each equals the reference of one of the two instances (a
+/// block translated through the other instance's ids matches neither).
+#[test]
+fn cached_replies_race_the_first_rendering_and_re_registration() {
+    use influential_communities::service::protocol::handle_line;
+    use std::sync::Barrier;
+    const THREADS: usize = 8;
+    const REQUESTS: usize = 200;
+    const GAMMA: u32 = 2;
+
+    let graphs = [
+        Arc::new(relabelled_gnm(250, 5, |v| v)),
+        Arc::new(relabelled_gnm(250, 6, |v| 3 * v + 1_000_000_007)),
+    ];
+    // expected block per (instance, k)
+    let expected: Arc<Vec<HashMap<usize, String>>> = Arc::new(
+        graphs
+            .iter()
+            .map(|g| {
+                let all = reference_top_k(g, GAMMA, 200);
+                assert!(all.len() >= 64, "{} communities", all.len());
+                [1, 5, 17, 64, 200]
+                    .into_iter()
+                    .map(|k| (k, reference_block(g, &all[..k.min(all.len())])))
+                    .collect()
+            })
+            .collect(),
+    );
+    assert_ne!(expected[0][&64], expected[1][&64], "the ids differ");
+    let svc = Service::new(ServiceConfig {
+        workers: 4,
+        cache_capacity: 64,
+        cache_shards: 4,
+        ..ServiceConfig::default()
+    });
+    svc.register("g", (*graphs[0]).clone());
+    // the k = 200 entry is cached but not yet rendered: every request
+    // below re-uses it, and the first ones race to fill it
+    assert!(!svc.query(Query::new("g", GAMMA, 200)).unwrap().cached);
+    let rendered_bytes = |svc: &Arc<Service>| -> usize {
+        let stats = handle_line(svc, "STATS");
+        let field = stats
+            .split_ascii_whitespace()
+            .find_map(|t| t.strip_prefix("rendered_bytes="))
+            .expect("STATS reports rendered_bytes");
+        field.parse().unwrap()
+    };
+    assert_eq!(rendered_bytes(&svc), 0);
+
+    // Each thread checks every reply against the instances it may come
+    // from, and reports which it saw.
+    let race = |requests: usize, instances: &'static [usize], barrier: Arc<Barrier>| {
+        (0..THREADS)
+            .map(|t| {
+                let svc = Arc::clone(&svc);
+                let expected = Arc::clone(&expected);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut seen = [0usize; 2];
+                    barrier.wait();
+                    for i in 0..requests {
+                        let (line, ks) = RACE_REQUESTS[(t + i) % RACE_REQUESTS.len()];
+                        let reply = handle_line(&svc, line);
+                        let blocks = c_blocks(&reply);
+                        let instance = instances.iter().copied().find(|&g| {
+                            blocks.len() == ks.len()
+                                && blocks.iter().zip(ks).all(|(b, k)| *b == expected[g][k])
+                        });
+                        let instance = instance.unwrap_or_else(|| {
+                            panic!("thread {t} request {i} ({line}): reply matches no instance")
+                        });
+                        seen[instance] += 1;
+                    }
+                    seen
+                })
+            })
+            .collect::<Vec<_>>()
+    };
+
+    let barrier = Arc::new(Barrier::new(THREADS));
+    for h in race(REQUESTS, &[0], barrier) {
+        assert_eq!(h.join().unwrap(), [REQUESTS, 0]);
+    }
+    // every answer was a hit on the one k = 200 entry (a BATCH counts
+    // one per slot: 6 answers per 4 requests), rendered once
+    let stats = svc.stats();
+    assert_eq!(stats.cache_misses, 1);
+    assert_eq!(stats.cache_hits, (THREADS * REQUESTS * 6 / 4) as u64);
+    assert_eq!(rendered_bytes(&svc), expected[0][&200].len());
+
+    // now re-register between the two id maps while the threads query
+    let barrier = Arc::new(Barrier::new(THREADS + 1));
+    let readers = race(REQUESTS / 2, &[0, 1], Arc::clone(&barrier));
+    barrier.wait();
+    let mut swaps = 0usize;
+    while !readers.iter().all(|h| h.is_finished()) {
+        swaps += 1;
+        svc.register("g", (*graphs[swaps % 2]).clone());
+        // leave the readers room to hit each generation's entries too
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    let mut seen = [0usize; 2];
+    for h in readers {
+        let s = h.join().unwrap();
+        seen = [seen[0] + s[0], seen[1] + s[1]];
+    }
+    assert_eq!(seen[0] + seen[1], THREADS * REQUESTS / 2);
+    assert!(swaps > 1, "the registrations ran beside the queries");
 }
