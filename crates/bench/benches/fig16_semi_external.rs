@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ic_bench::{dataset, Scale};
 use ic_core::semi_external::{local_search_se_top_k, online_all_se_top_k};
-use ic_graph::DiskGraph;
+use ic_graph::{save_icsr, FileCsr};
 use std::time::Duration;
 
 fn bench(c: &mut Criterion) {
@@ -16,7 +16,9 @@ fn bench(c: &mut Criterion) {
     std::fs::create_dir_all(&dir).expect("temp dir");
     for name in ["email", "youtube"] {
         let g = dataset(name, Scale::Small);
-        let dg = DiskGraph::create(g, dir.join(format!("{name}.bin"))).expect("spill");
+        let path = dir.join(format!("{name}.icsr"));
+        save_icsr(g, &path).expect("spill");
+        let dg = FileCsr::open(&path).expect("open spill");
         group.bench_function(format!("local_search_se/{name}/k10"), |b| {
             b.iter(|| local_search_se_top_k(&dg, 10, 10).expect("LS-SE"))
         });

@@ -17,7 +17,7 @@ use ic_core::semi_external::{local_search_se_top_k, online_all_se_top_k};
 use ic_core::{noncontainment, progressive, truss, TopKQuery};
 use ic_graph::generators::{assemble, collaboration, WeightKind};
 use ic_graph::stats::graph_stats;
-use ic_graph::DiskGraph;
+use ic_graph::{save_icsr, FileCsr};
 use std::time::Instant;
 
 /// Graphs the paper also runs OnlineAll on (it goes out of memory on the
@@ -484,7 +484,9 @@ fn fig16_17(scale: Scale, runs: usize, memory: bool) {
         };
         header(&format!("{fig} ({name}, γ={gamma}): {metric}, vary k"));
         let g = dataset(name, scale);
-        let dg = DiskGraph::create(g, dir.join(format!("{name}.bin"))).expect("spill");
+        let path = dir.join(format!("{name}.icsr"));
+        save_icsr(g, &path).expect("spill");
+        let dg = FileCsr::open(&path).expect("open spill");
         series_header(
             "k =",
             &K_SWEEP.iter().map(|x| x.to_string()).collect::<Vec<_>>(),

@@ -3,8 +3,8 @@
 //!
 //! The semi-external model keeps `O(n)` per-vertex information in memory
 //! (weights, degrees, flags) while edges live on disk, sorted by
-//! decreasing edge weight ([`ic_graph::DiskGraph`]). Because the file
-//! order equals prefix order, `LocalSearch-SE` — the disk-backed
+//! decreasing edge weight (the adjacency section of an `.icsr`
+//! [`ic_graph::FileCsr`]). Because the file order equals prefix order, `LocalSearch-SE` — the disk-backed
 //! LocalSearch-P — reads exactly the prefix it grows, giving I/O and
 //! resident-memory proportional to `size(G≥τ*)`. `OnlineAll-SE` must
 //! stream the **whole file** before it can report anything, because
@@ -81,9 +81,8 @@ impl PeelGraph for ResidentGraph {
 /// [`crate::progressive::ProgressiveSearch`], but prefix growth performs
 /// real file reads (counted) and the resident subgraph is built
 /// incrementally from the records. Generic over every
-/// [`SemiExternalSource`] backend: record-pair [`ic_graph::DiskGraph`]
-/// files, `.icsr` [`ic_graph::FileCsr`] stores, and (with zero I/O) the
-/// in-memory [`ic_graph::WeightedGraph`].
+/// [`SemiExternalSource`] backend: `.icsr` [`ic_graph::FileCsr`] stores
+/// and (with zero I/O) the in-memory [`ic_graph::WeightedGraph`].
 pub fn local_search_se_top_k<S: SemiExternalSource>(
     dg: &S,
     gamma: u32,
@@ -215,17 +214,19 @@ mod tests {
     use ic_graph::generators::{assemble, barabasi_albert, WeightKind};
     use ic_graph::paper::figure3;
     use ic_graph::scratch::ScratchDir;
-    use ic_graph::{DiskGraph, WeightedGraph};
+    use ic_graph::{save_icsr, FileCsr, WeightedGraph};
 
-    fn disk(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> DiskGraph {
-        DiskGraph::create(g, dir.file(name)).unwrap()
+    fn disk(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> FileCsr {
+        let path = dir.file(name);
+        save_icsr(g, &path).unwrap();
+        FileCsr::open(&path).unwrap()
     }
 
     #[test]
     fn both_se_variants_match_in_memory_results() {
         let dir = ScratchDir::new("ic-se");
         let g = figure3();
-        let dg = disk(&g, &dir, "fig3.bin");
+        let dg = disk(&g, &dir, "fig3.icsr");
         for gamma in 1..=4u32 {
             for k in [1usize, 2, 4] {
                 let q = crate::query::TopKQuery::new(gamma).k(k);
@@ -247,7 +248,7 @@ mod tests {
         let dir = ScratchDir::new("ic-se");
         let e = barabasi_albert(2000, 5, 42);
         let g = assemble(2000, &e, WeightKind::PageRank);
-        let dg = disk(&g, &dir, "ba.bin");
+        let dg = disk(&g, &dir, "ba.icsr");
         let (_, ls) = local_search_se_top_k(&dg, 3, 5).unwrap();
         let (_, oa) = online_all_se_top_k(&dg, 3, 5).unwrap();
         assert_eq!(
@@ -268,7 +269,7 @@ mod tests {
     fn se_stats_are_consistent() {
         let dir = ScratchDir::new("ic-se");
         let g = figure3();
-        let dg = disk(&g, &dir, "stats.bin");
+        let dg = disk(&g, &dir, "stats.icsr");
         let (_, st) = local_search_se_top_k(&dg, 3, 1).unwrap();
         assert_eq!(st.io.edges_read() as usize, st.peak_resident_edges);
         assert!(st.visited_vertices <= g.n());
@@ -278,7 +279,7 @@ mod tests {
     fn exhausting_k_beyond_total_reads_whole_file() {
         let dir = ScratchDir::new("ic-se");
         let g = figure3();
-        let dg = disk(&g, &dir, "all.bin");
+        let dg = disk(&g, &dir, "all.icsr");
         let (cs, st) = local_search_se_top_k(&dg, 3, 1000).unwrap();
         let q = crate::query::TopKQuery::new(3).k(1000);
         let reference = crate::local_search::query_top_k(&g, &q).communities;

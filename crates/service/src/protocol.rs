@@ -1454,6 +1454,60 @@ mod tests {
     }
 
     #[test]
+    fn corrupt_adjacency_record_is_a_storage_err_not_a_worker_panic() {
+        let dir = ic_graph::scratch::ScratchDir::new("ic-protocol-icsr-corrupt");
+        let svc = svc();
+        let path = dir.file("g.icsr");
+        ic_graph::save_icsr(&figure3(), &path).unwrap();
+        // overwrite the first adjacency record (after the 32-byte header
+        // and the 24n + 8 bytes of resident vertex sections)
+        let mut bytes = std::fs::read(&path).unwrap();
+        let adj_start = 32 + 24 * figure3().n() + 8;
+        bytes[adj_start..adj_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let path = path.to_str().unwrap();
+
+        // the resident sections are sound, so the open succeeds
+        assert!(handle_line(&svc, &format!("LOADX g {path}")).starts_with("OK"));
+        for line in ["QUERY g 2 3", "QUERY g 2 3 online_all_se"] {
+            let reply = handle_line(&svc, line);
+            assert!(reply.starts_with("ERR storage error"), "{line} -> {reply}");
+        }
+        let stats = handle_line(&svc, "STATS");
+        assert!(stats.contains(" worker_panics=0 "), "{stats}");
+    }
+
+    #[test]
+    fn save_onto_a_live_file_backed_store_is_refused() {
+        let dir = ic_graph::scratch::ScratchDir::new("ic-protocol-icsr-live");
+        let svc = svc();
+        let path = dir.file("p.icsr");
+        let path = path.to_str().unwrap();
+        assert!(handle_line(&svc, "GEN a gnm 300 1500 1").starts_with("OK"));
+        assert!(handle_line(&svc, "GEN b gnm 300 1500 2").starts_with("OK"));
+        assert!(handle_line(&svc, &format!("SAVE a {path}")).starts_with("OK"));
+        assert!(handle_line(&svc, &format!("LOADX f {path}")).starts_with("OK"));
+
+        let reply = handle_line(&svc, &format!("SAVE b {path}"));
+        assert!(reply.starts_with("ERR storage error"), "{reply}");
+        // the same file under another spelling is the same target
+        let dotted = format!("{}/./p.icsr", dir.path().to_str().unwrap());
+        let reply = handle_line(&svc, &format!("SAVE b {dotted}"));
+        assert!(reply.starts_with("ERR storage error"), "{reply}");
+
+        // the refused SAVEs left the file, and so f's answers, untouched
+        let tail = |s: &str| s.lines().skip(1).map(String::from).collect::<Vec<_>>();
+        let mem = handle_line(&svc, "QUERY a 3 5");
+        let file = handle_line(&svc, "QUERY f 3 5");
+        assert!(file.contains("count=5"), "{file}");
+        assert_eq!(tail(&mem), tail(&file), "\nmem: {mem}\nfile: {file}");
+        // a different target is still fine
+        let other = dir.file("other.icsr");
+        let reply = handle_line(&svc, &format!("SAVE b {}", other.to_str().unwrap()));
+        assert!(reply.starts_with("OK"), "{reply}");
+    }
+
+    #[test]
     fn file_backed_rejections_are_err_lines() {
         let dir = ic_graph::scratch::ScratchDir::new("ic-protocol-icsr-rej");
         let svc = svc();

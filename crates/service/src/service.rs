@@ -330,10 +330,27 @@ impl Service {
     /// `SAVE` verb. The file can then be served file-backed via
     /// [`Service::register_file`] (here or by another process). Saving a
     /// graph that is *already* file-backed is a typed error: its edges
-    /// live in the file it was opened from.
+    /// live in the file it was opened from. So is saving onto the file a
+    /// registered file-backed store was opened from: that store re-reads
+    /// its file for every query, and a rewrite in place would silently
+    /// change its answers.
     pub fn save_store(&self, name: &str, path: &str) -> Result<(), ServiceError> {
         let entry = self.registry.get(name)?;
         let graph = entry.memory()?;
+        // a path that does not exist yet cannot back a store
+        if let Ok(target) = std::fs::canonicalize(path) {
+            for live in self.registry.list() {
+                let GraphStore::File(f) = &live.store else {
+                    continue;
+                };
+                if std::fs::canonicalize(f.path()).is_ok_and(|p| p == target) {
+                    return Err(ServiceError::Storage(format!(
+                        "{path}: the file backs the file-backed graph {:?}",
+                        live.name
+                    )));
+                }
+            }
+        }
         save_icsr(graph, path).map_err(|e| ServiceError::Storage(format!("{path}: {e}")))
     }
 

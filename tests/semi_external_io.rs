@@ -5,11 +5,13 @@
 
 use ic_graph::generators::{assemble, barabasi_albert, gnm, WeightKind};
 use ic_graph::scratch::ScratchDir;
-use ic_graph::{DiskGraph, WeightedGraph};
+use ic_graph::{save_icsr, FileCsr, WeightedGraph};
 use influential_communities::search::{semi_external, TopKQuery};
 
-fn spill(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> DiskGraph {
-    DiskGraph::create(g, dir.file(name)).unwrap()
+fn spill(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> FileCsr {
+    let path = dir.file(name);
+    save_icsr(g, &path).unwrap();
+    FileCsr::open(&path).unwrap()
 }
 
 #[test]
@@ -18,7 +20,7 @@ fn se_answers_match_in_memory_on_random_graphs() {
     for seed in 0..4u64 {
         let n = 120;
         let g = assemble(n, &gnm(n, 500, seed), WeightKind::Uniform(seed + 11));
-        let dg = spill(&g, &dir, &format!("gnm-{seed}.bin"));
+        let dg = spill(&g, &dir, &format!("gnm-{seed}.icsr"));
         for gamma in 1..=4u32 {
             for k in [1usize, 3, 9] {
                 let reference = TopKQuery::new(gamma).k(k).run(&g).unwrap().communities;
@@ -43,10 +45,15 @@ fn io_locality_shape() {
     let dir = ScratchDir::new("ic-it-se");
     let n = 5_000;
     let g = assemble(n, &barabasi_albert(n, 6, 31), WeightKind::PageRank);
-    let dg = spill(&g, &dir, "ba-locality.bin");
+    let dg = spill(&g, &dir, "ba-locality.icsr");
     let (_, ls) = semi_external::local_search_se_top_k(&dg, 4, 5).unwrap();
     let (_, oa) = semi_external::online_all_se_top_k(&dg, 4, 5).unwrap();
     assert_eq!(oa.io.edges_read(), g.m() as u64);
+    assert_eq!(
+        oa.io.bytes_read,
+        4 * g.m() as u64,
+        "4 B per adjacency record"
+    );
     assert!(
         (ls.io.edges_read() as f64) < 0.5 * g.m() as f64,
         "LocalSearch-SE read {}/{} edges",
@@ -62,7 +69,7 @@ fn se_io_grows_with_k() {
     let dir = ScratchDir::new("ic-it-se");
     let n = 3_000;
     let g = assemble(n, &barabasi_albert(n, 5, 13), WeightKind::PageRank);
-    let dg = spill(&g, &dir, "ba-growth.bin");
+    let dg = spill(&g, &dir, "ba-growth.icsr");
     let mut prev = 0u64;
     for k in [1usize, 5, 25, 125] {
         let (_, st) = semi_external::local_search_se_top_k(&dg, 3, k).unwrap();
