@@ -8,8 +8,9 @@
 //!
 //! 1. in a README protocol-table row (a line starting with `|`),
 //! 2. somewhere in the `tests/protocol_robustness.rs` hostile corpus,
-//! 3. for verbs with observable side effects, as a live counter token
-//!    somewhere in the serving crate (see `COUNTER_EVIDENCE`).
+//! 3. for verbs with observable side effects, as a row of the counter
+//!    table in `crates/service/src/stats.rs` (see `COUNTER_EVIDENCE`),
+//!    the one table `STATS` and `METRICS` are rendered from.
 //!
 //! Adding a verb to the dispatcher without touching the docs, the
 //! fuzz corpus, or the stats surface is exactly the drift this check
@@ -25,17 +26,19 @@ const PROTOCOL_RS: &str = "crates/service/src/protocol.rs";
 const README: &str = "README.md";
 /// Path of the hostile-input corpus.
 const ROBUSTNESS: &str = "tests/protocol_robustness.rs";
+/// Path of the counter table.
+const STATS_RS: &str = "crates/service/src/stats.rs";
 
-/// Verbs whose handling must be visible in a counter: the token on the
-/// right must occur somewhere in `crates/service/src`. Verbs not listed
-/// are surfaces or one-shot commands with no meaningful counter.
+/// Verbs whose handling must be visible in a counter: the `METRICS`
+/// name on the right must be a row of the counter table. Verbs not
+/// listed are surfaces or one-shot commands with no meaningful counter.
 const COUNTER_EVIDENCE: &[(&str, &str)] = &[
-    ("QUERY", "queries="),
-    ("BATCH", "batches="),
-    ("OPEN", "sessions_opened"),
-    ("NEXT", "streamed"),
-    ("CLOSE", "sessions_closed"),
-    ("SLOWLOG", "slow_total"),
+    ("QUERY", "ic_queries_total"),
+    ("BATCH", "ic_batches_total"),
+    ("OPEN", "ic_sessions_opened_total"),
+    ("NEXT", "ic_communities_streamed_total"),
+    ("CLOSE", "ic_sessions_closed_total"),
+    ("SLOWLOG", "ic_slow_queries_total"),
 ];
 
 pub fn run(files: &[SourceFile]) -> Vec<Finding> {
@@ -55,6 +58,11 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
     }
     let readme = files.iter().find(|f| f.rel() == README);
     let corpus = files.iter().find(|f| f.rel() == ROBUSTNESS);
+    let metric_names = files
+        .iter()
+        .find(|f| f.rel() == STATS_RS)
+        .map(table_metric_names)
+        .unwrap_or_default();
     for (verb, line) in &verbs {
         match readme {
             None => out.push(missing(verb, *line, "README.md is missing from the scan")),
@@ -87,16 +95,12 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
                 }
             }
         }
-        if let Some((_, token)) = COUNTER_EVIDENCE.iter().find(|(v, _)| v == verb) {
-            let counted = files
-                .iter()
-                .filter(|f| f.rel().starts_with("crates/service/src/"))
-                .any(|f| f.lines().any(|l| l.raw.contains(token)));
-            if !counted {
+        if let Some((_, name)) = COUNTER_EVIDENCE.iter().find(|(v, _)| v == verb) {
+            if !metric_names.contains(name) {
                 out.push(missing(
                     verb,
                     *line,
-                    &format!("no counter token {token:?} found in crates/service/src"),
+                    &format!("its counter {name} is not a row of the counter table in {STATS_RS}"),
                 ));
             }
         }
@@ -111,6 +115,25 @@ fn missing(verb: &str, line: usize, why: &str) -> Finding {
         line,
         message: format!("verb {verb} is dispatched but {why}"),
     }
+}
+
+/// The `METRICS` names of the counter table's rows: each row starts on
+/// a line `Variant: <STATS key>, Some("<METRICS name>"), ...`.
+fn table_metric_names(stats: &SourceFile) -> Vec<&str> {
+    fn row(raw: &str) -> Option<&str> {
+        let (variant, fields) = raw.trim().split_once(": ")?;
+        let (_stats_key, fields) = fields.split_once(", ")?;
+        let (name, _) = fields.strip_prefix("Some(\"")?.split_once("\")")?;
+        variant
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric())
+            .then_some(name)
+    }
+    stats
+        .lines()
+        .filter(|l| !l.in_test)
+        .filter_map(|l| row(l.raw))
+        .collect()
 }
 
 /// Extracts `(verb, line)` pairs from the top-level match arms of
@@ -201,6 +224,9 @@ pub fn dispatch(line: &str) -> String {
 }
 "#;
 
+    const QUERIES_ROW: &str =
+        "counter_table! {\n    Queries: Some(\"queries\"), Some(\"ic_queries_total\"), Counter,\n        \"Queries answered.\";\n}\n";
+
     fn proto_file() -> SourceFile {
         SourceFile::new(PROTOCOL_RS, DISPATCH)
     }
@@ -226,10 +252,7 @@ pub fn dispatch(line: &str) -> String {
                 ROBUSTNESS,
                 "let verbs = [\"HELP\", \"QUERY x\", \"UPDATE g\"];\n",
             ),
-            SourceFile::new(
-                "crates/service/src/stats.rs",
-                "// STATS prints queries= here\nconst S: &str = \"queries=\";\n",
-            ),
+            SourceFile::new(STATS_RS, QUERIES_ROW),
         ];
         let f = run(&files);
         assert!(f.is_empty(), "{f:?}");
@@ -241,10 +264,7 @@ pub fn dispatch(line: &str) -> String {
             proto_file(),
             SourceFile::new(README, "| `HELP` | help |\n| `UPDATE g` | update |\n"),
             SourceFile::new(ROBUSTNESS, "let verbs = [\"HELP\", \"UPDATE\"];\n"),
-            SourceFile::new(
-                "crates/service/src/stats.rs",
-                "const S: &str = \"queries=\";\n",
-            ),
+            SourceFile::new(STATS_RS, QUERIES_ROW),
         ];
         let f = run(&files);
         let msgs: Vec<&str> = f.iter().map(|x| x.message.as_str()).collect();
@@ -254,16 +274,27 @@ pub fn dispatch(line: &str) -> String {
 
     #[test]
     fn missing_counter_evidence_fires() {
-        let files = vec![
-            proto_file(),
-            SourceFile::new(
-                README,
-                "| `HELP` | x |\n| `QUERY` | x |\n| `UPDATE` | x |\n",
-            ),
-            SourceFile::new(ROBUSTNESS, "[\"HELP\", \"QUERY\", \"UPDATE\"]\n"),
-        ];
-        let f = run(&files);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains("counter"), "{}", f[0].message);
+        let covered = |stats: &str| {
+            vec![
+                proto_file(),
+                SourceFile::new(
+                    README,
+                    "| `HELP` | x |\n| `QUERY` | x |\n| `UPDATE` | x |\n",
+                ),
+                SourceFile::new(ROBUSTNESS, "[\"HELP\", \"QUERY\", \"UPDATE\"]\n"),
+                SourceFile::new(STATS_RS, stats),
+            ]
+        };
+        // the counter's name anywhere but in a table row is no evidence
+        for stats in [
+            "",
+            "// ic_queries_total\nconst S: &str = \"ic_queries_total\";\n",
+            "    Queries: Some(\"ic_queries_total\"), None, Counter,\n",
+        ] {
+            let f = run(&covered(stats));
+            assert_eq!(f.len(), 1, "{stats:?}: {f:?}");
+            assert!(f[0].message.contains("counter table"), "{}", f[0].message);
+        }
+        assert!(run(&covered(QUERIES_ROW)).is_empty());
     }
 }

@@ -113,22 +113,21 @@ fn result_near_misses_stay_silent() {
     assert!(f.is_empty(), "{f:?}");
 }
 
-fn proto_files(readme: &str, corpus: &str) -> Vec<SourceFile> {
+/// The counter-table row that is the QUERY verb's counter evidence.
+const QUERIES_ROW: &str = "counter_table! {\n    Queries: Some(\"queries\"), Some(\"ic_queries_total\"), Counter,\n        \"Queries answered.\";\n}\n";
+
+fn proto_files(readme: &str, corpus: &str, stats: &str) -> Vec<SourceFile> {
     vec![
         SourceFile::new("crates/service/src/protocol.rs", PROTO_DISPATCH),
         SourceFile::new("README.md", readme),
         SourceFile::new("tests/protocol_robustness.rs", corpus),
-        // counter evidence for the QUERY verb
-        SourceFile::new(
-            "crates/service/src/stats.rs",
-            "const LINE: &str = \"queries=\";\n",
-        ),
+        SourceFile::new("crates/service/src/stats.rs", stats),
     ]
 }
 
 #[test]
 fn proto_fixture_reports_the_uncovered_verb_twice() {
-    let f: Vec<Finding> = checks::run_all(&proto_files(PROTO_README, PROTO_CORPUS))
+    let f: Vec<Finding> = checks::run_all(&proto_files(PROTO_README, PROTO_CORPUS, QUERIES_ROW))
         .into_iter()
         .filter(|f| f.check == checks::IC_PROTO)
         .collect();
@@ -145,11 +144,27 @@ fn proto_near_miss_full_coverage_is_silent() {
     // add the missing row + corpus line: the same dispatcher goes clean
     let readme = format!("{PROTO_README}| `PING` | liveness probe |\n");
     let corpus = format!("{PROTO_CORPUS}const MORE: &str = \"PING\";\n");
-    let f: Vec<Finding> = checks::run_all(&proto_files(&readme, &corpus))
+    let f: Vec<Finding> = checks::run_all(&proto_files(&readme, &corpus, QUERIES_ROW))
         .into_iter()
         .filter(|f| f.check == checks::IC_PROTO)
         .collect();
     assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
+fn proto_fixture_reports_a_verb_whose_counter_row_is_missing() {
+    // documented and fuzzed everywhere, but the table lost QUERY's row:
+    // the counter's name elsewhere in the file is not evidence
+    let readme = format!("{PROTO_README}| `PING` | liveness probe |\n");
+    let corpus = format!("{PROTO_CORPUS}const MORE: &str = \"PING\";\n");
+    let stats = "// counts ic_queries_total\nconst NAME: &str = \"ic_queries_total\";\n";
+    let f: Vec<Finding> = checks::run_all(&proto_files(&readme, &corpus, stats))
+        .into_iter()
+        .filter(|f| f.check == checks::IC_PROTO)
+        .collect();
+    assert_eq!(f.len(), 1, "{f:?}");
+    assert!(f[0].message.contains("QUERY"), "{f:?}");
+    assert!(f[0].message.contains("counter table"), "{f:?}");
 }
 
 fn algo_files(consistency: &str) -> Vec<SourceFile> {

@@ -1,7 +1,6 @@
 //! Reproduces every table and figure of the paper's evaluation (§6) on
 //! the synthetic Table 1 stand-ins. Each experiment prints a
-//! paper-formatted series table; `EXPERIMENTS.md` records the comparison
-//! against the published results.
+//! paper-formatted series table.
 //!
 //! ```sh
 //! cargo run --release -p ic-bench --bin experiments            # everything

@@ -23,8 +23,9 @@
 //!   by `(graph, γ, k, answer-family)` — *prefix-aware* within the core
 //!   family, so a cached top-k′ serves every k ≤ k′ by slicing — with an
 //!   [`inflight`] single-flight table coalescing identical concurrent
-//!   cold queries into one execution, and hit/miss/coalesced/latency
-//!   counters snapshotted as [`stats::ServiceStats`].
+//!   cold queries into one execution. Every counter and gauge it reports
+//!   is a row of one table ([`stats::TABLE`]), snapshotted as
+//!   [`stats::ServiceStats`] and rendered by both `STATS` and `METRICS`.
 //!   [`service::Service::query_batch`] answers whole request lists with
 //!   one search per `(graph, generation, γ, family)` group, executed at
 //!   the group's largest k and sliced per request.
@@ -38,7 +39,7 @@
 //!   maintenance, no global peel) and [`Service::commit_updates`] swaps
 //!   the compacted snapshot in under a new registry generation, so the
 //!   result cache invalidates by construction; the planner consults the
-//!   overlay's stale-core fraction ([`planner::plan_dynamic`]).
+//!   overlay's stale-core fraction ([`planner::plan`]).
 //! * durability — [`service::Service::with_persistence`] pins the whole
 //!   registry to a data directory: registrations snapshot to disk,
 //!   updates append to a per-graph [`ic_dynamic::wal`] write-ahead log
@@ -98,10 +99,10 @@ pub use ic_dynamic::{CommitReceipt, DynamicGraph, UpdateOp};
 pub use ic_obs::{QueryClass, QueryTrace, Stage};
 pub use inflight::InflightTable;
 pub use metrics::{ServiceMetrics, SlowQuery};
-pub use planner::{plan, plan_dynamic, plan_stored, Algorithm, Explain, Mode, Query};
+pub use planner::{plan, Algorithm, Explain, Mode, Query};
 pub use pool::WorkerPool;
 pub use registry::{GraphRegistry, RegisteredGraph};
 pub use server::{serve, serve_metrics, serve_with, Accept, ServerOptions};
 pub use service::{QueryResponse, Service, ServiceConfig, SyntheticSpec, UpdateStatus};
 pub use session::Session;
-pub use stats::ServiceStats;
+pub use stats::{Counter, ServiceStats};

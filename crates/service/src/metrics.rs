@@ -14,8 +14,9 @@
 //! got slower" from "the cache stopped hitting".
 //!
 //! The transport's write stage is recorded per reply: the time of each
-//! reply's single socket `write_all` and the bytes it carried, so a
-//! stalled or back-pressured client is visible server-side.
+//! reply's single socket `write_all`, so a stalled or back-pressured
+//! client is visible server-side. Scalar counts and gauges live in the
+//! counter table ([`crate::stats`]), not here.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,14 +70,8 @@ pub struct ServiceMetrics {
     slowlog_capacity: usize,
     slowlog_threshold_ns: u64,
     slow_seq: AtomicU64,
-    /// Protocol connections currently being served (`ic-conn` threads).
-    live_connections: AtomicU64,
-    /// Protocol connections ever accepted.
-    connections_total: AtomicU64,
     /// `write_all` time of every reply written to a client socket.
     reply_write: Histogram,
-    /// Bytes of every reply written to a client socket.
-    reply_bytes: AtomicU64,
 }
 
 impl ServiceMetrics {
@@ -90,10 +85,7 @@ impl ServiceMetrics {
             slowlog_capacity: capacity,
             slowlog_threshold_ns: threshold_ns,
             slow_seq: AtomicU64::new(0),
-            live_connections: AtomicU64::new(0),
-            connections_total: AtomicU64::new(0),
             reply_write: Histogram::new(),
-            reply_bytes: AtomicU64::new(0),
         }
     }
 
@@ -136,21 +128,15 @@ impl ServiceMetrics {
         self.execute[storage_index(storage)].record(ns);
     }
 
-    /// Records one reply written to a client socket: its size and the
-    /// time its single `write_all` took. Allocation-free.
-    pub fn record_reply(&self, bytes: usize, write: Duration) {
+    /// Records the time one reply's single socket `write_all` took.
+    /// Allocation-free.
+    pub fn record_reply_write(&self, write: Duration) {
         self.reply_write.record(write.as_nanos() as u64);
-        self.reply_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Snapshot of the per-reply socket-write histogram (nanoseconds).
     pub fn reply_write_snapshot(&self) -> HistogramSnapshot {
         self.reply_write.snapshot()
-    }
-
-    /// Reply bytes written to client sockets so far.
-    pub fn reply_bytes_total(&self) -> u64 {
-        self.reply_bytes.load(Ordering::Relaxed)
     }
 
     /// Snapshot of one class's end-to-end latency histogram.
@@ -178,29 +164,6 @@ impl ServiceMetrics {
     /// The retention threshold, in nanoseconds.
     pub fn slowlog_threshold_ns(&self) -> u64 {
         self.slowlog_threshold_ns
-    }
-
-    /// A protocol connection was accepted and its handler started.
-    pub fn connection_opened(&self) {
-        self.live_connections.fetch_add(1, Ordering::Relaxed);
-        self.connections_total.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A protocol connection's handler finished (any reason: `QUIT`,
-    /// EOF, idle timeout, or I/O error).
-    pub fn connection_closed(&self) {
-        self.live_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Protocol connections currently being served — the gauge a load
-    /// harness watches to verify idle connections are actually reclaimed.
-    pub fn live_connections(&self) -> u64 {
-        self.live_connections.load(Ordering::Relaxed)
-    }
-
-    /// Protocol connections ever accepted.
-    pub fn connections_total(&self) -> u64 {
-        self.connections_total.load(Ordering::Relaxed)
     }
 }
 

@@ -151,13 +151,6 @@ pub struct Explain {
 /// predicts the structure clients are querying about.
 pub const STALE_CORE_CUTOFF: f64 = 0.25;
 
-/// Picks the algorithm for `(γ, k)` on a graph with the given statistics,
-/// assuming the statistics are fresh. Equivalent to [`plan_dynamic`] with
-/// a stale-core fraction of 0.
-pub fn plan(stats: &GraphStats, gamma: u32, k: usize, mode: Mode) -> Explain {
-    plan_dynamic(stats, gamma, k, mode, 0.0)
-}
-
 /// Estimated adjacency bytes a plan reads from a file-backed store.
 /// OnlineAll-SE streams the whole section; LocalSearch-SE reads the
 /// answer prefix's share of it, approximated by the reach fraction
@@ -178,11 +171,15 @@ fn estimate_file_bytes(stats: &GraphStats, algorithm: Algorithm, reach: usize) -
     }
 }
 
-/// Picks the algorithm for `(γ, k)` on a graph with the given statistics
-/// and the given stale-core fraction (how much of the registered
-/// snapshot's core structure uncommitted dynamic updates have touched).
+/// Picks the algorithm for `(γ, k)` on a graph with the given statistics,
+/// the given stale-core fraction (how much of the registered snapshot's
+/// core structure uncommitted dynamic updates have touched; 0.0 for a
+/// static graph) and the given storage backend.
 ///
-/// The `Auto` branches, in order:
+/// A forced mode is honored as-is (the executor itself rejects
+/// memory-only algorithms on file stores with a typed error).
+///
+/// Memory-resident stores take the `Auto` branches, in order:
 ///
 /// 1. `γ > γmax` and cores are fresh — no γ-core exists; **Forward**'s
 ///    single global counting pass is the cheapest proof of emptiness.
@@ -199,39 +196,17 @@ fn estimate_file_bytes(stats: &GraphStats, algorithm: Algorithm, reach: usize) -
 /// 4. `k ≤ `[`PROGRESSIVE_K_CUTOFF`] — a tiny result set; the
 ///    **progressive** stream stops after the minimal prefix.
 /// 5. otherwise — **LocalSearch**, the instance-optimal default.
-pub fn plan_dynamic(
-    stats: &GraphStats,
-    gamma: u32,
-    k: usize,
-    mode: Mode,
-    stale_core_fraction: f64,
-) -> Explain {
-    plan_stored(
-        stats,
-        gamma,
-        k,
-        mode,
-        stale_core_fraction,
-        StorageKind::Memory,
-    )
-}
-
-/// Picks the algorithm for `(γ, k)` with the storage backend as an
-/// explicit planning dimension. Memory-resident stores plan exactly as
-/// [`plan_dynamic`]; file-backed stores restrict `Auto` to the
-/// semi-external executors — the only algorithms that can answer without
-/// a memory-resident adjacency — and estimate the bytes the choice will
-/// read:
 ///
-/// * `k + γ ≥ n` (or `γ > γmax` with fresh cores — the emptiness check
-///   must still stream everything once) — **OnlineAll-SE**: one
-///   sequential pass over the whole adjacency section.
+/// File-backed stores restrict `Auto` to the semi-external executors —
+/// the only algorithms that can answer without a memory-resident
+/// adjacency — and estimate the bytes the choice will read:
+///
+/// * `k + γ ≥ n` (or `γ > γmax` — the emptiness check must still stream
+///   everything once) — **OnlineAll-SE**: one sequential pass over the
+///   whole adjacency section.
 /// * otherwise — **LocalSearch-SE**: reads only the grown prefix, I/O
 ///   proportional to `size(G≥τ*)`.
-///
-/// A forced mode is honored as-is (the executor itself rejects
-/// memory-only algorithms on file stores with a typed error).
-pub fn plan_stored(
+pub fn plan(
     stats: &GraphStats,
     gamma: u32,
     k: usize,
@@ -239,31 +214,27 @@ pub fn plan_stored(
     stale_core_fraction: f64,
     storage: StorageKind,
 ) -> Explain {
+    let n = stats.n;
+    let reach = k.saturating_add(gamma as usize);
     let base = |algorithm: Algorithm, reason: &'static str, forced: bool| Explain {
         algorithm,
         reason,
         forced,
-        n: stats.n,
+        n,
         m: stats.m,
         gamma_max: stats.gamma_max,
         stale_core_fraction,
         storage,
-        est_bytes: 0,
-    };
-    let reach_for_estimate = k.saturating_add(gamma as usize);
-    let with_bytes = |mut e: Explain| {
-        if storage == StorageKind::File {
-            e.est_bytes = estimate_file_bytes(stats, e.algorithm, reach_for_estimate);
-        }
-        e
+        est_bytes: match storage {
+            StorageKind::File => estimate_file_bytes(stats, algorithm, reach),
+            StorageKind::Memory => 0,
+        },
     };
     if let Mode::Forced(algorithm) = mode {
-        return with_bytes(base(algorithm, "explicit mode override", true));
+        return base(algorithm, "explicit mode override", true);
     }
     if storage == StorageKind::File {
-        let n = stats.n;
-        let reach = k.saturating_add(gamma as usize);
-        let choice = if reach >= n || gamma > stats.gamma_max {
+        return if reach >= n || gamma > stats.gamma_max {
             base(
                 Algorithm::OnlineAllSE,
                 "file-backed store with a whole-graph answer prefix (or an \
@@ -279,10 +250,7 @@ pub fn plan_stored(
                 false,
             )
         };
-        return with_bytes(choice);
     }
-    let n = stats.n;
-    let reach = k.saturating_add(gamma as usize);
     if gamma > stats.gamma_max {
         if stale_core_fraction > STALE_CORE_CUTOFF {
             base(
@@ -353,7 +321,7 @@ mod tests {
     fn override_wins_over_everything() {
         let s = stats(1000, 5000, 8);
         for algo in Algorithm::ALL {
-            let e = plan(&s, 99, 1, Mode::Forced(algo));
+            let e = plan(&s, 99, 1, Mode::Forced(algo), 0.0, StorageKind::Memory);
             assert_eq!(e.algorithm, algo);
             assert!(e.forced);
         }
@@ -361,7 +329,8 @@ mod tests {
 
     #[test]
     fn infeasible_gamma_dispatches_forward() {
-        let e = plan(&stats(1000, 5000, 8), 9, 5, Mode::Auto);
+        let s = stats(1000, 5000, 8);
+        let e = plan(&s, 9, 5, Mode::Auto, 0.0, StorageKind::Memory);
         assert_eq!(e.algorithm, Algorithm::Forward);
         assert!(e.reason.contains("degeneracy"));
         assert_eq!(e.stale_core_fraction, 0.0);
@@ -372,47 +341,53 @@ mod tests {
         let s = stats(1000, 5000, 8);
         // fresh (or mildly stale) cores: the emptiness proof stands
         for stale in [0.0, STALE_CORE_CUTOFF] {
-            let e = plan_dynamic(&s, 9, 5, Mode::Auto, stale);
+            let e = plan(&s, 9, 5, Mode::Auto, stale, StorageKind::Memory);
             assert_eq!(e.algorithm, Algorithm::Forward, "stale={stale}");
         }
         // heavily stale cores: fall back to the instance-optimal search
-        let e = plan_dynamic(&s, 9, 5, Mode::Auto, 0.5);
+        let e = plan(&s, 9, 5, Mode::Auto, 0.5, StorageKind::Memory);
         assert_eq!(e.algorithm, Algorithm::LocalSearch);
         assert!(e.reason.contains("uncommitted"));
         assert_eq!(e.stale_core_fraction, 0.5);
         // staleness never disturbs the feasible-gamma branches
         for (k, fresh) in [(5, Algorithm::LocalSearch), (2, Algorithm::Progressive)] {
-            let a = plan_dynamic(&s, 3, k, Mode::Auto, 0.9).algorithm;
+            let a = plan(&s, 3, k, Mode::Auto, 0.9, StorageKind::Memory).algorithm;
             assert_eq!(a, fresh, "k={k}");
         }
         // nor an explicit override
-        let forced = plan_dynamic(&s, 9, 5, Mode::Forced(Algorithm::OnlineAll), 0.9);
+        let online_all = Mode::Forced(Algorithm::OnlineAll);
+        let forced = plan(&s, 9, 5, online_all, 0.9, StorageKind::Memory);
         assert_eq!(forced.algorithm, Algorithm::OnlineAll);
         assert!(forced.forced);
     }
 
     #[test]
     fn whole_graph_k_dispatches_online_all() {
-        let e = plan(&stats(100, 500, 8), 3, 100, Mode::Auto);
+        let s = stats(100, 500, 8);
+        let e = plan(&s, 3, 100, Mode::Auto, 0.0, StorageKind::Memory);
         assert_eq!(e.algorithm, Algorithm::OnlineAll);
     }
 
     #[test]
     fn large_k_dispatches_forward() {
-        let e = plan(&stats(100, 500, 8), 3, 60, Mode::Auto);
+        let s = stats(100, 500, 8);
+        let e = plan(&s, 3, 60, Mode::Auto, 0.0, StorageKind::Memory);
         assert_eq!(e.algorithm, Algorithm::Forward);
         assert!(e.reason.contains("flat"));
     }
 
     #[test]
     fn tiny_k_dispatches_progressive() {
-        let e = plan(&stats(1000, 5000, 8), 3, PROGRESSIVE_K_CUTOFF, Mode::Auto);
+        let s = stats(1000, 5000, 8);
+        let k = PROGRESSIVE_K_CUTOFF;
+        let e = plan(&s, 3, k, Mode::Auto, 0.0, StorageKind::Memory);
         assert_eq!(e.algorithm, Algorithm::Progressive);
     }
 
     #[test]
     fn moderate_k_dispatches_local_search() {
-        let e = plan(&stats(1000, 5000, 8), 3, 20, Mode::Auto);
+        let s = stats(1000, 5000, 8);
+        let e = plan(&s, 3, 20, Mode::Auto, 0.0, StorageKind::Memory);
         assert_eq!(e.algorithm, Algorithm::LocalSearch);
     }
 
@@ -421,7 +396,7 @@ mod tests {
         let s = stats(200, 900, 8);
         for gamma in 1..=10u32 {
             for k in [1usize, 2, 5, 50, 100, 250] {
-                let algo = plan(&s, gamma, k, Mode::Auto).algorithm;
+                let algo = plan(&s, gamma, k, Mode::Auto, 0.0, StorageKind::Memory).algorithm;
                 assert!(
                     !matches!(
                         algo,
@@ -444,7 +419,8 @@ mod tests {
 
     #[test]
     fn memory_storage_plans_report_zero_bytes() {
-        let e = plan(&stats(1000, 5000, 8), 3, 20, Mode::Auto);
+        let s = stats(1000, 5000, 8);
+        let e = plan(&s, 3, 20, Mode::Auto, 0.0, StorageKind::Memory);
         assert_eq!(e.storage, StorageKind::Memory);
         assert_eq!(e.est_bytes, 0);
     }
@@ -454,7 +430,7 @@ mod tests {
         let s = stats(1000, 5000, 8);
         for gamma in 1..=10u32 {
             for k in [1usize, 2, 5, 50, 100, 600, 2000] {
-                let e = plan_stored(&s, gamma, k, Mode::Auto, 0.0, StorageKind::File);
+                let e = plan(&s, gamma, k, Mode::Auto, 0.0, StorageKind::File);
                 assert!(
                     matches!(
                         e.algorithm,
@@ -468,9 +444,9 @@ mod tests {
             }
         }
         // small answers read a prefix, whole-graph answers stream the file
-        let small = plan_stored(&s, 3, 5, Mode::Auto, 0.0, StorageKind::File);
+        let small = plan(&s, 3, 5, Mode::Auto, 0.0, StorageKind::File);
         assert_eq!(small.algorithm, Algorithm::LocalSearchSE);
-        let whole = plan_stored(&s, 3, 2000, Mode::Auto, 0.0, StorageKind::File);
+        let whole = plan(&s, 3, 2000, Mode::Auto, 0.0, StorageKind::File);
         assert_eq!(whole.algorithm, Algorithm::OnlineAllSE);
         assert_eq!(
             whole.est_bytes,
@@ -479,14 +455,14 @@ mod tests {
         );
         assert!(small.est_bytes < whole.est_bytes);
         // an infeasible gamma still needs the full-stream emptiness check
-        let empty = plan_stored(&s, 9, 1, Mode::Auto, 0.0, StorageKind::File);
+        let empty = plan(&s, 9, 1, Mode::Auto, 0.0, StorageKind::File);
         assert_eq!(empty.algorithm, Algorithm::OnlineAllSE);
     }
 
     #[test]
     fn forced_mode_survives_file_storage() {
         let s = stats(1000, 5000, 8);
-        let e = plan_stored(
+        let e = plan(
             &s,
             3,
             4,
@@ -504,7 +480,7 @@ mod tests {
         let s = stats(200, 900, 8);
         for gamma in 1..=10u32 {
             for k in [1usize, 2, 5, 50, 100, 250] {
-                let algo = plan(&s, gamma, k, Mode::Auto).algorithm;
+                let algo = plan(&s, gamma, k, Mode::Auto, 0.0, StorageKind::Memory).algorithm;
                 assert!(
                     !matches!(algo, Algorithm::LocalSearchSE | Algorithm::OnlineAllSE),
                     "gamma={gamma} k={k} planned {algo}"

@@ -48,7 +48,7 @@
 //!                                        (an empty batch with done=0 just
 //!                                        means n was 0)
 //! CLOSE <session>                        close a session
-//! STATS                                  hit/miss/latency counters, then one
+//! STATS                                  the counter table's keys, then one
 //!                                        `S` row per registered store with
 //!                                        its cumulative I/O, then `END`
 //! METRICS                                full Prometheus text exposition
@@ -189,6 +189,7 @@ fn dispatch(
                     )))
                 }
             };
+            check_synthetic(&spec)?;
             let entry = svc.register_synthetic(name, spec);
             Ok(graph_line(
                 &entry.name,
@@ -305,39 +306,8 @@ fn dispatch(
             Ok(format!("OK closed={id}"))
         }
         "STATS" => {
-            let s = svc.stats();
-            let mut out = format!(
-                "OK queries={} hits={} misses={} coalesced={} prefix_served={} \
-                 batches={} worker_panics={} hit_rate={:.4}",
-                s.queries,
-                s.cache_hits,
-                s.cache_misses,
-                s.coalesced,
-                s.prefix_served,
-                s.batches,
-                s.worker_panics,
-                s.hit_rate(),
-            );
-            // one execution counter per algorithm, in Algorithm::ALL order
-            for algo in crate::planner::Algorithm::ALL {
-                out.push_str(&format!(" {}={}", algo.name(), s.executions(algo)));
-            }
-            out.push_str(&format!(
-                " mean_latency_micros={} sessions_opened={} sessions_closed={} \
-                 sessions_open={} streamed={} graphs={} cached_entries={} \
-                 rendered_bytes={} accept_errors={} write_errors={} live_connections={}",
-                s.mean_latency().as_micros(),
-                s.sessions_opened,
-                s.sessions_closed,
-                svc.sessions_open(),
-                s.communities_streamed,
-                svc.graphs().len(),
-                svc.cache_len(),
-                svc.cache_rendered_bytes(),
-                s.accept_errors,
-                s.write_errors,
-                svc.metrics().live_connections(),
-            ));
+            let mut out = String::from("OK");
+            svc.stats().write_stats(&mut out);
             // one `S` row per registered store with its cumulative I/O
             for (name, kind, io) in svc.store_io() {
                 out.push_str(&format!(
@@ -745,10 +715,30 @@ fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, ServiceErr
         .map_err(|_| ServiceError::InvalidQuery(format!("{field}: not a valid number: {s:?}")))
 }
 
+/// Rejects generator parameters the generators cannot honor: G(n,m)
+/// needs two vertices, Barabási–Albert needs `n > d ≥ 1`, and every
+/// vertex id must fit a u32 (for R-MAT, `n = 2^scale`).
+fn check_synthetic(spec: &SyntheticSpec) -> Result<(), ServiceError> {
+    let fits = |n: usize| n <= u32::MAX as usize;
+    let ok = match *spec {
+        SyntheticSpec::Gnm { n, .. } => n >= 2 && fits(n),
+        SyntheticSpec::BarabasiAlbert { n, d, .. } => d >= 1 && n > d && fits(n),
+        SyntheticSpec::Rmat { scale, .. } => scale < u32::BITS,
+    };
+    if ok {
+        return Ok(());
+    }
+    Err(ServiceError::InvalidQuery(format!(
+        "GEN: {spec:?} is out of range (gnm needs n >= 2, ba needs n > d >= 1, \
+         rmat needs scale < 32; vertex ids are u32)"
+    )))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::ServiceConfig;
+    use crate::stats::Counter;
     use ic_graph::paper::figure3;
 
     fn svc() -> Arc<Service> {
@@ -938,7 +928,10 @@ mod tests {
             assert!(expected.contains("R 0 OK algo=local_search cached=true"));
             assert_eq!(handle_line(&svc, &format!("BATCH {batch}")), expected);
         }
-        assert!(svc.cache_rendered_bytes() > 0, "the batch re-used entries");
+        assert!(
+            svc.stats()[Counter::RenderedBytes] > 0,
+            "the batch re-used entries"
+        );
         // mixed ks in one group, whose lead (k = 40) hits the toy entry
         let mixed = "toy 2 3 ; toy 2 40 ; toy 2 17 ; toy 2 1";
         let expected = reference_batch_reply(&twin, mixed);
@@ -974,17 +967,17 @@ mod tests {
         // a miss stores nothing; the first exact hit fills the entry, the
         // next one replies from it
         assert!(query(2, 40).contains("cached=false"));
-        assert_eq!(svc.cache_rendered_bytes(), 0);
+        assert_eq!(svc.stats()[Counter::RenderedBytes], 0);
         assert!(query(2, 40).contains("cached=true"));
-        let filled = svc.cache_rendered_bytes();
+        let filled = svc.stats()[Counter::RenderedBytes];
         assert!(filled > 0);
         assert!(query(2, 40).contains("cached=true"));
         // a prefix-served hit (k < the donor's k) is cut from the same text
         for k in [1, 10, 39] {
             assert!(query(2, k).contains("cached=true coalesced=false"));
         }
-        assert_eq!(svc.cache_rendered_bytes(), filled, "filled once");
-        assert_eq!(svc.stats().prefix_served, 6, "each k twice");
+        assert_eq!(svc.stats()[Counter::RenderedBytes], filled, "filled once");
+        assert_eq!(svc.stats()[Counter::PrefixServed], 6, "each k twice");
 
         // an exhausted donor (fewer communities than its k) asked for more
         let all = svc.query(Query::new("toy", 3, 100_000)).unwrap();
@@ -1020,14 +1013,7 @@ mod tests {
     fn renderings_are_retained_only_for_re_used_entries() {
         let svc = svc();
         assert!(handle_line(&svc, "GEN toy gnm 300 1200 7").starts_with("OK"));
-        let rendered = || -> usize {
-            let stats = handle_line(&svc, "STATS");
-            let field = stats
-                .split_ascii_whitespace()
-                .find_map(|t| t.strip_prefix("rendered_bytes="))
-                .unwrap_or_else(|| panic!("no rendered_bytes in {stats}"));
-            field.parse().unwrap()
-        };
+        let rendered = || svc.stats()[Counter::RenderedBytes] as usize;
         let gammas = 1..=6u32;
         for gamma in gammas.clone() {
             assert!(handle_line(&svc, &format!("QUERY toy {gamma} 30")).contains("cached=false"));
@@ -1236,7 +1222,10 @@ mod tests {
             handle_line(&svc, "OPEN fig3 3"),
             "ERR too many open sessions (limit 1024)"
         );
-        assert_eq!(svc.stats().sessions_opened, MAX_OPEN_SESSIONS as u64);
+        assert_eq!(
+            svc.stats()[Counter::SessionsOpened],
+            MAX_OPEN_SESSIONS as u64
+        );
         assert!(handle_line(&svc, "CLOSE 1").starts_with("OK closed=1"));
         let open = handle_line(&svc, "OPEN fig3 3");
         assert!(open.starts_with("OK session="), "{open}");

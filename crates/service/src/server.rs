@@ -25,6 +25,7 @@ use std::time::{Duration, Instant};
 use crate::error::ServiceError;
 use crate::protocol::{handle_owned_line, HELP};
 use crate::service::Service;
+use crate::stats::Counter;
 
 /// Hard cap on one request line. A well-formed request is tens of bytes;
 /// anything beyond this is a client bug or abuse, and answering it would
@@ -80,14 +81,15 @@ struct ConnectionGuard(Arc<Service>);
 
 impl ConnectionGuard {
     fn open(svc: &Arc<Service>) -> Self {
-        svc.metrics().connection_opened();
+        svc.counters.add(Counter::LiveConnections, 1);
+        svc.counters.add(Counter::ConnectionsTotal, 1);
         ConnectionGuard(Arc::clone(svc))
     }
 }
 
 impl Drop for ConnectionGuard {
     fn drop(&mut self) {
-        self.0.metrics().connection_closed();
+        self.0.counters.sub(Counter::LiveConnections, 1);
     }
 }
 
@@ -220,7 +222,7 @@ fn accept_loop<A: Accept>(
             Ok(stream) => stream,
             Err(e) if is_fatal_accept_error(&e) => return Err(e),
             Err(e) => {
-                svc.record_accept_error();
+                svc.counters.add(Counter::AcceptErrors, 1);
                 log.log("accept", &e);
                 std::thread::sleep(backoff.failure());
                 continue;
@@ -235,7 +237,7 @@ fn accept_loop<A: Accept>(
             Err(e) => {
                 // dropping the un-run closure closes the stream; the
                 // client sees a reset, the server keeps accepting
-                svc.record_accept_error();
+                svc.counters.add(Counter::AcceptErrors, 1);
                 log.log("connection-thread spawn", &e);
                 std::thread::sleep(backoff.failure());
             }
@@ -311,11 +313,12 @@ fn send_reply(stream: &mut TcpStream, svc: &Service, reply: &[u8]) -> io::Result
     let started = Instant::now();
     match stream.write_all(reply) {
         Ok(()) => {
-            svc.metrics().record_reply(reply.len(), started.elapsed());
+            svc.metrics().record_reply_write(started.elapsed());
+            svc.counters.add(Counter::ReplyBytes, reply.len() as u64);
             Ok(())
         }
         Err(e) => {
-            svc.record_write_error();
+            svc.counters.add(Counter::WriteErrors, 1);
             Err(e)
         }
     }
@@ -523,8 +526,8 @@ mod tests {
         line.clear();
         // server closes after QUIT: EOF
         assert_eq!(reader.read_line(&mut line).unwrap(), 0);
-        assert_eq!(svc.stats().queries, 3, "QUERY + two batch slots");
-        assert_eq!(svc.stats().batches, 1);
+        assert_eq!(svc.stats()[Counter::Queries], 3, "QUERY + two batch slots");
+        assert_eq!(svc.stats()[Counter::Batches], 1);
     }
 
     /// An oversized request line is rejected with one `ERR` line, drained
@@ -708,7 +711,7 @@ mod tests {
         }
 
         // every injected failure was counted, and STATS surfaces them
-        assert_eq!(svc.stats().accept_errors, 3);
+        assert_eq!(svc.stats()[Counter::AcceptErrors], 3);
         writeln!(writer, "STATS").unwrap();
         writer.flush().unwrap();
         let mut stats_head = String::new();
@@ -740,7 +743,7 @@ mod tests {
             .expect_err("fatal listener errors must propagate");
         assert_eq!(err.raw_os_error(), Some(9));
         assert_eq!(
-            svc.stats().accept_errors,
+            svc.stats()[Counter::AcceptErrors],
             0,
             "fatal errors are not 'survived'"
         );
@@ -761,6 +764,7 @@ mod tests {
             let _ = serve_with(&listener, svc_for_server, options);
         });
 
+        let live = || svc.stats()[Counter::LiveConnections];
         let a = TcpStream::connect(addr).unwrap();
         let b = TcpStream::connect(addr).unwrap();
         let mut ra = BufReader::new(a.try_clone().unwrap());
@@ -770,12 +774,11 @@ mod tests {
         line.clear();
         rb.read_line(&mut line).unwrap();
         assert!(
-            wait_until(Duration::from_secs(2), || svc.metrics().live_connections()
-                == 2),
+            wait_until(Duration::from_secs(2), || live() == 2),
             "gauge should reach 2, got {}",
-            svc.metrics().live_connections()
+            live()
         );
-        assert_eq!(svc.metrics().connections_total(), 2);
+        assert_eq!(svc.stats()[Counter::ConnectionsTotal], 2);
 
         // both clients go silent: the server closes them (EOF) and the
         // gauge drops back to zero — threads actually reclaimed
@@ -784,10 +787,9 @@ mod tests {
         line.clear();
         assert_eq!(rb.read_line(&mut line).unwrap(), 0);
         assert!(
-            wait_until(Duration::from_secs(5), || svc.metrics().live_connections()
-                == 0),
+            wait_until(Duration::from_secs(5), || live() == 0),
             "gauge should return to 0, got {}",
-            svc.metrics().live_connections()
+            live()
         );
     }
 
@@ -834,7 +836,7 @@ mod tests {
 
         // now stall mid-line with no progress at all: the partial line is
         // discarded (never executed) and the connection is closed
-        let before = svc.stats().queries;
+        let before = svc.stats()[Counter::Queries];
         write!(writer, "QUERY fig3 3").unwrap();
         writer.flush().unwrap();
         line.clear();
@@ -843,7 +845,11 @@ mod tests {
             0,
             "half-open mid-line client must be closed, got {line:?}"
         );
-        assert_eq!(svc.stats().queries, before, "partial line never executed");
+        assert_eq!(
+            svc.stats()[Counter::Queries],
+            before,
+            "partial line never executed"
+        );
     }
 
     /// Live threads of this process, from `/proc/self/status` (Linux).
@@ -893,8 +899,8 @@ mod tests {
 
         server.join().unwrap().unwrap();
         assert!(svc.open_session_ids().is_empty());
-        assert_eq!(svc.stats().sessions_opened, 500);
-        assert_eq!(svc.stats().sessions_closed, 500);
+        assert_eq!(svc.stats()[Counter::SessionsOpened], 500);
+        assert_eq!(svc.stats()[Counter::SessionsClosed], 500);
         // Tests in this binary run in parallel and start threads of their
         // own, so the count is only back to its baseline within a margin
         // far below the 500 a thread per session would leave.
@@ -986,7 +992,7 @@ mod tests {
             "failed write must close cleanly: {served:?}"
         );
         assert!(
-            svc.stats().write_errors >= 1,
+            svc.stats()[Counter::WriteErrors] >= 1,
             "the lost write was not counted"
         );
         assert!(

@@ -8,7 +8,7 @@
 //! every connection handler.
 //!
 //! A batch query flows: validate → look up graph →
-//! [`plan_stored`] (fed the graph's stale-core fraction and its storage
+//! [`plan`] (fed the graph's stale-core fraction and its storage
 //! backend) → probe the
 //! cache keyed by `(graph, generation, γ, k, family)` — prefix-aware
 //! within the core family, so a larger-k entry of the same lane serves
@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use ic_core::local_search::SearchStats;
 use ic_core::{Community, QueryError};
-use ic_dynamic::{CommitReceipt, DynamicGraph, UpdateOp, WalStats};
+use ic_dynamic::{CommitReceipt, DynamicGraph, UpdateOp};
 use ic_graph::generators::{assemble, barabasi_albert, gnm, rmat, RmatParams, WeightKind};
 use ic_graph::{io, save_icsr, FileCsr, GraphStore, IoStats, WeightedGraph};
 use ic_obs::{QueryClass, QueryTrace, Stage};
@@ -43,11 +43,11 @@ use crate::error::ServiceError;
 use crate::inflight::{InflightTable, Join};
 use crate::metrics::{ServiceMetrics, SlowQuery};
 use crate::persist::Persistence;
-use crate::planner::{plan_stored, Explain, Mode, Query};
+use crate::planner::{plan, Explain, Mode, Query};
 use crate::pool::WorkerPool;
 use crate::registry::{GraphRegistry, RegisteredGraph};
 use crate::session::{Session, MAX_OPEN_SESSIONS};
-use crate::stats::{ServiceStats, StatsRecorder};
+use crate::stats::{Counter, Counters, ServiceStats};
 use crate::sync::{lock_or_poison, read_or_poison, write_or_poison};
 
 /// Sizing knobs for a [`Service`].
@@ -182,7 +182,8 @@ pub struct Service {
     registry: GraphRegistry,
     cache: ResultCache,
     inflight: InflightTable,
-    stats: StatsRecorder,
+    /// Counter recorder read by [`Service::stats`]; `server` records here too.
+    pub(crate) counters: Counters,
     metrics: ServiceMetrics,
     pool: WorkerPool,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
@@ -237,7 +238,7 @@ impl Service {
             registry: GraphRegistry::new(),
             cache: ResultCache::new(config.cache_capacity, config.cache_shards),
             inflight: InflightTable::new(),
-            stats: StatsRecorder::new(),
+            counters: Counters::new(),
             metrics: ServiceMetrics::new(
                 config.slowlog_capacity,
                 config.slowlog_threshold.as_nanos() as u64,
@@ -499,7 +500,7 @@ impl Service {
         query.validate()?;
         let entry = self.registry.get(&query.graph)?;
         let stale = self.stale_core_fraction(&query.graph);
-        Ok(plan_stored(
+        Ok(plan(
             &entry.stats,
             query.gamma,
             query.k,
@@ -535,7 +536,7 @@ impl Service {
         let core_query = query.to_core()?;
         let entry = self.registry.get(&query.graph)?;
         let stale = self.stale_core_fraction(&query.graph);
-        let explain = plan_stored(
+        let explain = plan(
             &entry.stats,
             query.gamma,
             query.k,
@@ -577,12 +578,12 @@ impl Service {
                 ..response(hit.communities, false, None)
             };
             let class = if hit.exact {
-                self.stats.record_hit(resp.latency);
                 QueryClass::Cached
             } else {
-                self.stats.record_prefix_hit(resp.latency);
+                self.counters.add(Counter::PrefixServed, 1);
                 QueryClass::PrefixServed
             };
+            self.count_answer(Counter::CacheHits, resp.latency);
             (resp, class)
         };
         // Closes the trace and records it under `class`; response
@@ -643,7 +644,8 @@ impl Service {
                     self.cache.insert(key.clone(), communities.clone());
                     flight.publish(communities.clone());
                     let resp = response(communities, false, Some(result.stats));
-                    self.stats.record_miss(explain.algorithm, resp.latency);
+                    self.counters.add_execution(explain.algorithm);
+                    self.count_answer(Counter::CacheMisses, resp.latency);
                     finish(trace, QueryClass::Cold);
                     return Ok(resp);
                 }
@@ -651,7 +653,7 @@ impl Service {
                     // the blocked wait on the leader is execute-by-proxy
                     trace.lap(Stage::Execute);
                     let resp = response(communities, true, None);
-                    self.stats.record_coalesced(resp.latency);
+                    self.count_answer(Counter::Coalesced, resp.latency);
                     finish(trace, QueryClass::CoalescedFollower);
                     return Ok(resp);
                 }
@@ -723,7 +725,7 @@ impl Service {
     /// Answers many queries with as few searches as possible: requests
     /// are grouped by `(graph, generation, γ, answer-family)`, each group
     /// executes **once** at the group's largest k (planned by
-    /// [`plan_stored`] for that k), and every member receives its own
+    /// [`plan`] for that k), and every member receives its own
     /// prefix of the group answer — valid because communities are
     /// enumerated in decreasing influence order, so top-k is a prefix of
     /// top-k′ for k ≤ k′ (§4 of the paper). The prefix guarantee is a
@@ -741,7 +743,7 @@ impl Service {
         self: &Arc<Self>,
         queries: &[Query],
     ) -> Vec<Result<QueryResponse, ServiceError>> {
-        self.stats.record_batch();
+        self.counters.add(Counter::Batches, 1);
         let mut results: Vec<Option<Result<QueryResponse, ServiceError>>> =
             (0..queries.len()).map(|_| None).collect();
 
@@ -883,7 +885,8 @@ impl Service {
                 let mut member_trace = QueryTrace::start();
                 let communities = slice_prefix(&group_resp.communities, q.k);
                 if pos > 0 {
-                    self.stats.record_prefix_hit(slice_start.elapsed());
+                    self.counters.add(Counter::PrefixServed, 1);
+                    self.count_answer(Counter::CacheHits, slice_start.elapsed());
                     // histogram the marginal cost (the slice, landing in
                     // Serialize via finish) under the batch class; the
                     // group's search already entered the lead query's
@@ -937,7 +940,7 @@ impl Service {
         }
         let id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
         sessions.insert(id, session);
-        self.stats.record_session_opened();
+        self.counters.add(Counter::SessionsOpened, 1);
         Ok(id)
     }
 
@@ -976,7 +979,7 @@ impl Service {
             .cloned()
             .ok_or_else(unknown)?;
         let (batch, done) = session.next_batch(n).ok_or_else(unknown)?;
-        self.stats.record_streamed(batch.len());
+        self.counters.add(Counter::Streamed, batch.len() as u64);
         Ok((session.graph_instance(), batch, done))
     }
 
@@ -986,7 +989,7 @@ impl Service {
         lock_or_poison(&self.sessions)
             .remove(&id)
             .ok_or(ServiceError::UnknownSession(id))?;
-        self.stats.record_session_closed();
+        self.counters.add(Counter::SessionsClosed, 1);
         Ok(())
     }
 
@@ -999,11 +1002,6 @@ impl Service {
             .map(|s| s.graph_instance())
     }
 
-    /// Number of currently open sessions.
-    pub(crate) fn sessions_open(&self) -> usize {
-        lock_or_poison(&self.sessions).len()
-    }
-
     /// Ids of the currently open sessions.
     pub fn open_session_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = lock_or_poison(&self.sessions).keys().copied().collect();
@@ -1013,26 +1011,33 @@ impl Service {
 
     // ----- introspection -----------------------------------------------
 
-    /// A point-in-time snapshot of the hit/miss/latency counters, with
-    /// the pool's panic count folded in.
+    /// A point-in-time reading of every row of the counter table
+    /// ([`crate::stats::TABLE`]): recorded rows from the recorder, the
+    /// rest from the component that owns them.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.stats.snapshot();
-        stats.worker_panics = self.pool.panic_count();
-        stats
+        self.counters.snapshot(|counter| {
+            Some(match counter {
+                Counter::WorkerPanics => self.pool.panic_count(),
+                Counter::SessionsOpen => lock_or_poison(&self.sessions).len() as u64,
+                Counter::Graphs => self.registry.len() as u64,
+                Counter::CachedEntries => self.cache.len() as u64,
+                Counter::RenderedBytes => self.cache.rendered_bytes() as u64,
+                Counter::PoolWorkers => self.pool.worker_count() as u64,
+                Counter::PoolQueueDepth => self.pool.queue_depth(),
+                Counter::PoolBusyNs => self.pool.busy_ns(),
+                Counter::SlowQueries => self.metrics.slow_total(),
+                _ => return None,
+            })
+        })
     }
 
-    /// Counts one transient accept-loop failure the TCP front-end
-    /// survived (surfaced as `accept_errors` in `STATS` and
-    /// `ic_accept_errors_total` in `METRICS`).
-    pub(crate) fn record_accept_error(&self) {
-        self.stats.record_accept_error();
-    }
-
-    /// Counts one failed client-socket write (surfaced as
-    /// `write_errors` in `STATS` and `ic_write_errors_total` in
-    /// `METRICS`); the connection that suffered it is closed.
-    pub(crate) fn record_write_error(&self) {
-        self.stats.record_write_error();
+    /// Counts one answered query under `outcome` (hit, miss or
+    /// coalesced), with its latency.
+    fn count_answer(&self, outcome: Counter, latency: Duration) {
+        self.counters.add(Counter::Queries, 1);
+        self.counters.add(outcome, 1);
+        self.counters
+            .add(Counter::QueryLatencyNs, latency.as_nanos() as u64);
     }
 
     /// Why durability was lost, if it was: the first persistence-hook
@@ -1067,113 +1072,14 @@ impl Service {
         self.metrics.slowlog(n)
     }
 
-    /// Aggregated write-ahead-log accounting across every persistent
-    /// graph, plus recovery cost: `(wal, replayed_ops, replay_ns)`.
-    /// `None` for in-memory services (no `--data-dir`).
-    pub fn wal_metrics(&self) -> Option<(WalStats, u64, u64)> {
-        self.persist.as_ref().map(|p| {
-            let p = lock_or_poison(p);
-            (p.wal_stats(), p.replayed_ops(), p.replay_ns())
-        })
-    }
-
     /// The full Prometheus text-exposition body (`METRICS` verb and the
-    /// `--metrics-addr` scrape listener). Counters come from the same
-    /// recorders `STATS` reads; histograms are the per-class /
-    /// per-backend latency distributions with quantile gauges extracted
-    /// at render time.
+    /// `--metrics-addr` scrape listener). The scalar rows are the same
+    /// [`Service::stats`] snapshot `STATS` prints; per-store I/O, WAL
+    /// accounting and the latency histograms (with quantile gauges
+    /// extracted at render time) follow.
     pub fn metrics_text(&self) -> String {
-        let stats = self.stats();
         let mut p = ic_obs::PromText::new();
-
-        p.header("ic_queries_total", "Queries answered.", "counter");
-        p.sample("ic_queries_total", &[], stats.queries);
-        p.header("ic_cache_hits_total", "Exact result-cache hits.", "counter");
-        p.sample("ic_cache_hits_total", &[], stats.cache_hits);
-        p.header("ic_cache_misses_total", "Result-cache misses.", "counter");
-        p.sample("ic_cache_misses_total", &[], stats.cache_misses);
-        p.header(
-            "ic_prefix_served_total",
-            "Queries served by slicing a larger-k cached answer.",
-            "counter",
-        );
-        p.sample("ic_prefix_served_total", &[], stats.prefix_served);
-        p.header(
-            "ic_coalesced_total",
-            "Queries coalesced onto an identical in-flight execution.",
-            "counter",
-        );
-        p.sample("ic_coalesced_total", &[], stats.coalesced);
-        p.header("ic_batches_total", "Batch requests.", "counter");
-        p.sample("ic_batches_total", &[], stats.batches);
-        p.header(
-            "ic_sessions_opened_total",
-            "Progressive sessions opened.",
-            "counter",
-        );
-        p.sample("ic_sessions_opened_total", &[], stats.sessions_opened);
-        p.header(
-            "ic_sessions_closed_total",
-            "Progressive sessions closed.",
-            "counter",
-        );
-        p.sample("ic_sessions_closed_total", &[], stats.sessions_closed);
-        p.header("ic_sessions_open", "Progressive sessions open.", "gauge");
-        p.sample("ic_sessions_open", &[], self.sessions_open() as u64);
-        p.header(
-            "ic_communities_streamed_total",
-            "Communities streamed by sessions.",
-            "counter",
-        );
-        p.sample(
-            "ic_communities_streamed_total",
-            &[],
-            stats.communities_streamed,
-        );
-        p.header(
-            "ic_worker_panics_total",
-            "Jobs that panicked (workers survive).",
-            "counter",
-        );
-        p.sample("ic_worker_panics_total", &[], stats.worker_panics);
-        p.header(
-            "ic_accept_errors_total",
-            "Transient accept-loop failures the server survived.",
-            "counter",
-        );
-        p.sample("ic_accept_errors_total", &[], stats.accept_errors);
-        p.header(
-            "ic_write_errors_total",
-            "Client-socket writes that failed; each closed its connection.",
-            "counter",
-        );
-        p.sample("ic_write_errors_total", &[], stats.write_errors);
-        p.header(
-            "ic_connections_total",
-            "Protocol connections accepted.",
-            "counter",
-        );
-        p.sample(
-            "ic_connections_total",
-            &[],
-            self.metrics.connections_total(),
-        );
-        p.header(
-            "ic_live_connections",
-            "Protocol connections currently being served.",
-            "gauge",
-        );
-        p.sample("ic_live_connections", &[], self.metrics.live_connections());
-        p.header(
-            "ic_reply_bytes_total",
-            "Reply bytes written to client sockets.",
-            "counter",
-        );
-        p.sample(
-            "ic_reply_bytes_total",
-            &[],
-            self.metrics.reply_bytes_total(),
-        );
+        self.stats().write_metrics(&mut p);
         p.header(
             "ic_reply_write_seconds",
             "Time of each reply's single socket write (write_all).",
@@ -1184,55 +1090,6 @@ impl Service {
             &[],
             &self.metrics.reply_write_snapshot(),
         );
-
-        p.header(
-            "ic_executions_total",
-            "Algorithm executions by planner choice.",
-            "counter",
-        );
-        for algo in crate::planner::Algorithm::ALL {
-            p.sample(
-                "ic_executions_total",
-                &[("algorithm", algo.name())],
-                stats.executions(algo),
-            );
-        }
-
-        p.header("ic_pool_workers", "Worker threads in the pool.", "gauge");
-        p.sample("ic_pool_workers", &[], self.pool.worker_count() as u64);
-        p.header(
-            "ic_pool_queue_depth",
-            "Jobs submitted but not yet picked up by a worker.",
-            "gauge",
-        );
-        p.sample("ic_pool_queue_depth", &[], self.pool.queue_depth());
-        p.header(
-            "ic_pool_busy_ns_total",
-            "Cumulative nanoseconds workers spent executing jobs.",
-            "counter",
-        );
-        p.sample("ic_pool_busy_ns_total", &[], self.pool.busy_ns());
-
-        p.header("ic_cache_entries", "Result-cache entries.", "gauge");
-        p.sample("ic_cache_entries", &[], self.cache.len() as u64);
-        p.header(
-            "ic_cache_rendered_bytes",
-            "Wire-text bytes held by the renderings of re-used cache entries.",
-            "gauge",
-        );
-        p.sample(
-            "ic_cache_rendered_bytes",
-            &[],
-            self.cache.rendered_bytes() as u64,
-        );
-        p.header("ic_graphs", "Registered graphs.", "gauge");
-        p.sample("ic_graphs", &[], self.registry.list().len() as u64);
-        p.header(
-            "ic_slow_queries_total",
-            "Queries that crossed the slowlog threshold.",
-            "counter",
-        );
-        p.sample("ic_slow_queries_total", &[], self.metrics.slow_total());
 
         p.header(
             "ic_store_io_bytes_total",
@@ -1260,7 +1117,12 @@ impl Service {
             );
         }
 
-        if let Some((wal, replayed_ops, replay_ns)) = self.wal_metrics() {
+        // write-ahead-log accounting and recovery cost, with --data-dir only
+        let wal = self.persist.as_ref().map(|p| {
+            let p = lock_or_poison(p);
+            (p.wal_stats(), p.replayed_ops(), p.replay_ns())
+        });
+        if let Some((wal, replayed_ops, replay_ns)) = wal {
             p.header(
                 "ic_wal_ops_appended_total",
                 "Update records appended to write-ahead logs.",
@@ -1331,17 +1193,6 @@ impl Service {
             );
         }
         p.finish()
-    }
-
-    /// Number of entries currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Bytes of wire text held by the renderings of re-used cache
-    /// entries (`rendered_bytes` in `STATS`).
-    pub(crate) fn cache_rendered_bytes(&self) -> usize {
-        self.cache.rendered_bytes()
     }
 
     /// Empties the result cache (all graphs). Used by operators after
@@ -1415,8 +1266,8 @@ mod tests {
         assert!(second.cached);
         assert!(Arc::ptr_eq(&first.communities, &second.communities));
         let stats = svc.stats();
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.cache_hits, 1);
+        assert_eq!(stats[Counter::Queries], 2);
+        assert_eq!(stats[Counter::CacheHits], 1);
         assert!(stats.hit_rate() > 0.0);
     }
 
@@ -1496,8 +1347,8 @@ mod tests {
             assert_eq!(a.members, b.members, "prefix == directly computed");
         }
         let stats = svc.stats();
-        assert_eq!(stats.cache_misses, 1, "one search answered both");
-        assert_eq!(stats.prefix_served, 1);
+        assert_eq!(stats[Counter::CacheMisses], 1, "one search answered both");
+        assert_eq!(stats[Counter::PrefixServed], 1);
         // a *larger* k than anything cached still executes
         let bigger = svc.query(Query::new("fig3", 3, 5)).unwrap();
         assert!(!bigger.cached);
@@ -1516,7 +1367,7 @@ mod tests {
             assert!(resp.cached, "k={k}");
             assert_eq!(resp.communities.len(), k.min(total), "k={k}");
         }
-        assert_eq!(svc.stats().cache_misses, 1);
+        assert_eq!(svc.stats()[Counter::CacheMisses], 1);
     }
 
     #[test]
@@ -1547,9 +1398,13 @@ mod tests {
         assert!(matches!(results[6], Err(ServiceError::InvalidQuery(_))));
         // three groups → three searches, regardless of member count
         let stats = svc.stats();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.cache_misses, 3, "one execution per group");
-        assert_eq!(stats.queries, 5, "every successful member is a query");
+        assert_eq!(stats[Counter::Batches], 1);
+        assert_eq!(stats[Counter::CacheMisses], 3, "one execution per group");
+        assert_eq!(
+            stats[Counter::Queries],
+            5,
+            "every successful member is a query"
+        );
     }
 
     #[test]
@@ -1618,7 +1473,7 @@ mod tests {
         // two distinct ks → two truss executions; the duplicate k=1
         // shares its identical twin's group
         assert_eq!(svc.stats().executions(Algorithm::Truss), 2);
-        assert_eq!(svc.stats().prefix_served, 1, "only the duplicate");
+        assert_eq!(svc.stats()[Counter::PrefixServed], 1, "only the duplicate");
     }
 
     #[test]
@@ -1643,7 +1498,7 @@ mod tests {
         let svc = service_with_fig3();
         let e = svc.explain(&Query::new("fig3", 3, 4)).unwrap();
         assert!(!e.reason.is_empty());
-        assert_eq!(svc.stats().queries, 0);
+        assert_eq!(svc.stats()[Counter::Queries], 0);
     }
 
     #[test]
@@ -1660,9 +1515,9 @@ mod tests {
             Err(ServiceError::UnknownSession(_))
         ));
         let stats = svc.stats();
-        assert_eq!(stats.sessions_opened, 1);
-        assert_eq!(stats.sessions_closed, 1);
-        assert_eq!(stats.communities_streamed, 1 + rest.len() as u64);
+        assert_eq!(stats[Counter::SessionsOpened], 1);
+        assert_eq!(stats[Counter::SessionsClosed], 1);
+        assert_eq!(stats[Counter::Streamed], 1 + rest.len() as u64);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! for every algorithm variant.
 
 use ic_graph::generators::{assemble, barabasi_albert, gnm, planted_partition, WeightKind};
-use ic_graph::WeightedGraph;
+use ic_graph::{StorageKind, WeightedGraph};
 use influential_communities::prelude::{AlgorithmId, Community, Selection, TopKQuery};
 use influential_communities::search::local_search::{
     CountStrategy, LocalSearch, LocalSearchOptions,
@@ -166,17 +166,27 @@ proptest! {
         // γ > γmax → forward; k + γ ≥ n → online_all; k + γ ≥ n/2 →
         // forward; k ≤ cutoff → progressive; otherwise local_search.
         prop_assert_eq!(
-            plan(&stats, stats.gamma_max + 1, 1, Mode::Auto).algorithm,
+            plan(&stats, stats.gamma_max + 1, 1, Mode::Auto, 0.0, StorageKind::Memory).algorithm,
             Algorithm::Forward
         );
         // γ clamped to feasibility so the infeasible-γ rule (checked
         // above) cannot shadow the k-shaped branches
         let gamma_ok = gamma.clamp(1, stats.gamma_max.max(1));
-        prop_assert_eq!(plan(&stats, gamma_ok, n, Mode::Auto).algorithm, Algorithm::OnlineAll);
-        prop_assert_eq!(plan(&stats, gamma_ok, n / 2, Mode::Auto).algorithm, Algorithm::Forward);
-        prop_assert_eq!(plan(&stats, gamma_ok, 1, Mode::Auto).algorithm, Algorithm::Progressive);
         prop_assert_eq!(
-            plan(&stats, gamma_ok, PROGRESSIVE_K_CUTOFF + 1, Mode::Auto).algorithm,
+            plan(&stats, gamma_ok, n, Mode::Auto, 0.0, StorageKind::Memory).algorithm,
+            Algorithm::OnlineAll
+        );
+        prop_assert_eq!(
+            plan(&stats, gamma_ok, n / 2, Mode::Auto, 0.0, StorageKind::Memory).algorithm,
+            Algorithm::Forward
+        );
+        prop_assert_eq!(
+            plan(&stats, gamma_ok, 1, Mode::Auto, 0.0, StorageKind::Memory).algorithm,
+            Algorithm::Progressive
+        );
+        prop_assert_eq!(
+            plan(&stats, gamma_ok, PROGRESSIVE_K_CUTOFF + 1, Mode::Auto, 0.0, StorageKind::Memory)
+                .algorithm,
             Algorithm::LocalSearch
         );
 

@@ -10,7 +10,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use influential_communities::load::{generate, replay, ReplayOptions, WorkloadSpec};
-use influential_communities::service::{serve_with, ServerOptions, Service, ServiceConfig};
+use influential_communities::service::{
+    serve_with, Counter, ServerOptions, Service, ServiceConfig,
+};
 
 fn boot(workers: usize) -> (String, Arc<Service>) {
     let svc = Service::new(ServiceConfig {
@@ -70,6 +72,10 @@ fn smoke_load_replays_cleanly_at_two_rates() {
 
     // The replay drove real queries through the service, not a stub.
     let stats = svc.stats();
-    assert!(stats.queries > 0, "service saw queries");
-    assert_eq!(stats.accept_errors, 0, "clean run had no accept errors");
+    assert!(stats[Counter::Queries] > 0, "service saw queries");
+    assert_eq!(
+        stats[Counter::AcceptErrors],
+        0,
+        "clean run had no accept errors"
+    );
 }

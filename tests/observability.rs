@@ -2,8 +2,10 @@
 //! an exact sorted reference (proptest), concurrent recording + merge,
 //! the Prometheus exposition's line shape, `EXPLAIN ANALYZE` stage
 //! tiling against end-to-end latency, the slow-query log, `STATS` row
-//! determinism, and the per-reply socket-write series.
+//! determinism, `STATS`/`METRICS` agreement on every counter-table row,
+//! and the per-reply socket-write series.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -11,7 +13,8 @@ use std::time::Duration;
 
 use influential_communities::obs::{Histogram, QueryClass, LATENCY_LE_BOUNDS_NS, SUB_BUCKETS};
 use influential_communities::service::protocol::handle_line;
-use influential_communities::service::{serve, Query, Service, ServiceConfig};
+use influential_communities::service::stats::{Kind, TABLE};
+use influential_communities::service::{serve, Algorithm, Query, Service, ServiceConfig};
 use proptest::prelude::*;
 
 fn svc_with(threshold: Duration) -> Arc<Service> {
@@ -335,4 +338,69 @@ fn reply_writes_grow_the_transport_series() {
         series(&after, "ic_reply_write_seconds_bucket{le=\"+Inf\"}"),
         series(&after, "ic_reply_write_seconds_count")
     );
+}
+
+/// Every counter-table row that has both a `STATS` key and a `METRICS`
+/// name reads the same value through both verbs, after fixed traffic
+/// that moves each recorded row: a cold, a cached and a prefix-served
+/// `QUERY`, a `BATCH`, a session's `OPEN`/`NEXT`/`CLOSE`, and one query
+/// with a forced algorithm.
+#[test]
+fn stats_and_metrics_agree_on_every_row_they_share() {
+    let svc = svc_with(Duration::from_secs(10));
+    for line in [
+        "QUERY fig3 3 4",
+        "QUERY fig3 3 4",
+        "QUERY fig3 3 2",
+        "BATCH fig3 4 2 ; fig3 4 1",
+        "OPEN fig3 3",
+        "NEXT 1 2",
+        "CLOSE 1",
+        "QUERY fig3 2 3 backward",
+    ] {
+        let reply = handle_line(&svc, line);
+        assert!(reply.starts_with("OK"), "{line} -> {reply}");
+    }
+    let stats = handle_line(&svc, "STATS");
+    let head = stats.lines().next().unwrap();
+    let stats: HashMap<&str, &str> = head
+        .split_whitespace()
+        .skip(1)
+        .map(|kv| kv.split_once('=').unwrap())
+        .collect();
+    let metrics = handle_line(&svc, "METRICS");
+    let metrics: HashMap<&str, &str> = metrics
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .collect();
+    let mut pairs = Vec::new();
+    for row in TABLE {
+        match (row.kind, row.stats, row.metric) {
+            (Kind::PerAlgorithm, _, Some(name)) => {
+                for algo in Algorithm::ALL {
+                    pairs.push((algo.name(), format!("{name}{{algorithm=\"{algo}\"}}")));
+                }
+            }
+            (_, Some(key), Some(name)) => pairs.push((key, name.to_string())),
+            _ => {}
+        }
+    }
+    assert!(pairs.len() > 20, "{pairs:?}");
+    for (key, series) in &pairs {
+        let from_stats = stats
+            .get(key)
+            .unwrap_or_else(|| panic!("STATS lacks {key}: {head}"));
+        let from_metrics = metrics
+            .get(series.as_str())
+            .unwrap_or_else(|| panic!("METRICS lacks {series}"));
+        assert_eq!(from_stats, from_metrics, "{key} vs {series}");
+    }
+    // the traffic moved every row it drives, so the equalities above
+    // are not all 0 == 0
+    let moved = "queries hits misses prefix_served batches sessions_opened sessions_closed \
+                 streamed backward cached_entries";
+    for key in moved.split_whitespace() {
+        assert_ne!(stats[key], "0", "{key} did not move: {head}");
+    }
 }

@@ -109,6 +109,12 @@ fn malformed_and_truncated_lines_error_cleanly() {
         "FROBNICATE the graph",
         "QUERY fig3 3 4 warp",
         "GEN x unknown 1 2 3",
+        // generator parameters the generators cannot honor
+        "GEN a gnm 1 1 1",
+        "GEN a gnm 0 0 1",
+        "GEN a ba 1 1 1",
+        "GEN a ba 5 0 1",
+        "GEN a rmat 64 1 1",
         "UPDATE fig3 MERGE 1 2",
         // semantic rejections that must not disturb state
         "UPDATE fig3 DEL 0 9",

@@ -14,7 +14,7 @@ use influential_communities::graph::generators::{assemble, barabasi_albert, gnm,
 use influential_communities::graph::{GraphBuilder, WeightedGraph};
 use influential_communities::search::query::Selection;
 use influential_communities::search::{Community, TopKQuery};
-use influential_communities::service::{Algorithm, Mode, Query, Service, ServiceConfig};
+use influential_communities::service::{Algorithm, Counter, Mode, Query, Service, ServiceConfig};
 
 /// The six interchangeable core-family algorithms (truss answers a
 /// different family and is exercised separately by the service tests).
@@ -165,16 +165,22 @@ fn concurrent_mixed_workload_matches_single_threaded_search() {
     }
 
     let stats = svc.stats();
-    assert_eq!(stats.queries, (THREADS * QUERIES_PER_THREAD) as u64);
-    assert!(stats.queries >= 100, "acceptance floor: ≥100 queries");
+    assert_eq!(
+        stats[Counter::Queries],
+        (THREADS * QUERIES_PER_THREAD) as u64
+    );
     assert!(
-        stats.cache_hits > 0,
+        stats[Counter::Queries] >= 100,
+        "acceptance floor: ≥100 queries"
+    );
+    assert!(
+        stats[Counter::CacheHits] > 0,
         "repeated combinations must hit the cache: {stats:?}"
     );
     assert!(stats.hit_rate() > 0.0);
-    assert_eq!(stats.sessions_opened, THREADS as u64);
-    assert_eq!(stats.sessions_closed, THREADS as u64);
-    assert!(stats.communities_streamed > 0);
+    assert_eq!(stats[Counter::SessionsOpened], THREADS as u64);
+    assert_eq!(stats[Counter::SessionsClosed], THREADS as u64);
+    assert!(stats[Counter::Streamed] > 0);
 
     // Every algorithm must execute at least once. The concurrent phase
     // cannot guarantee that by itself — mode is deliberately not part of
@@ -290,16 +296,20 @@ fn thundering_herd_executes_the_search_exactly_once() {
     }
     // ...but only one of them computed it
     let stats = svc.stats();
-    assert_eq!(stats.cache_misses, 1, "the herd executed more than once");
-    assert_eq!(executed.len(), 1, "exactly one leader");
-    assert_eq!(stats.queries, THREADS as u64);
     assert_eq!(
-        stats.coalesced + stats.cache_hits,
+        stats[Counter::CacheMisses],
+        1,
+        "the herd executed more than once"
+    );
+    assert_eq!(executed.len(), 1, "exactly one leader");
+    assert_eq!(stats[Counter::Queries], THREADS as u64);
+    assert_eq!(
+        stats[Counter::Coalesced] + stats[Counter::CacheHits],
         (THREADS - 1) as u64,
         "everyone else was coalesced or cache-served: {stats:?}"
     );
     assert!(
-        stats.coalesced >= 1,
+        stats[Counter::Coalesced] >= 1,
         "a slow search must coalesce at least some of a 32-thread herd"
     );
     assert_eq!(stats.executions(Algorithm::OnlineAll), 1);
@@ -347,9 +357,13 @@ fn batched_answers_equal_individual_answers() {
     }
     // 3 lanes (γ=2, γ=3, γ=4) → exactly 3 searches for 7 requests
     let stats = batched_svc.stats();
-    assert_eq!(stats.batches, 1);
-    assert_eq!(stats.cache_misses, 3, "one search per group: {stats:?}");
-    assert_eq!(stats.queries, queries.len() as u64);
+    assert_eq!(stats[Counter::Batches], 1);
+    assert_eq!(
+        stats[Counter::CacheMisses],
+        3,
+        "one search per group: {stats:?}"
+    );
+    assert_eq!(stats[Counter::Queries], queries.len() as u64);
 }
 
 /// The invalidation guarantee under *concurrent* load: while reader
@@ -491,7 +505,7 @@ fn replace_graph_mid_flight_never_serves_stale_answers() {
     }
     let stats = svc.stats();
     assert!(
-        stats.cache_misses >= 3,
+        stats[Counter::CacheMisses] >= 3,
         "each generation must have computed at least once: {stats:?}"
     );
 }
@@ -553,7 +567,7 @@ fn close_racing_next_lets_the_inflight_pull_finish() {
         assert_eq!(a.keynode, b.keynode);
         assert_eq!(a.members, b.members);
     }
-    assert_eq!(svc.stats().sessions_closed, 1);
+    assert_eq!(svc.stats()[Counter::SessionsClosed], 1);
 }
 
 /// `n` vertices with the edges of `gnm(n, 4n, seed)`, external id
@@ -667,14 +681,7 @@ fn cached_replies_race_the_first_rendering_and_re_registration() {
     // the k = 200 entry is cached but not yet rendered: every request
     // below re-uses it, and the first ones race to fill it
     assert!(!svc.query(Query::new("g", GAMMA, 200)).unwrap().cached);
-    let rendered_bytes = |svc: &Arc<Service>| -> usize {
-        let stats = handle_line(svc, "STATS");
-        let field = stats
-            .split_ascii_whitespace()
-            .find_map(|t| t.strip_prefix("rendered_bytes="))
-            .expect("STATS reports rendered_bytes");
-        field.parse().unwrap()
-    };
+    let rendered_bytes = |svc: &Arc<Service>| svc.stats()[Counter::RenderedBytes] as usize;
     assert_eq!(rendered_bytes(&svc), 0);
 
     // Each thread checks every reply against the instances it may come
@@ -714,8 +721,11 @@ fn cached_replies_race_the_first_rendering_and_re_registration() {
     // every answer was a hit on the one k = 200 entry (a BATCH counts
     // one per slot: 6 answers per 4 requests), rendered once
     let stats = svc.stats();
-    assert_eq!(stats.cache_misses, 1);
-    assert_eq!(stats.cache_hits, (THREADS * REQUESTS * 6 / 4) as u64);
+    assert_eq!(stats[Counter::CacheMisses], 1);
+    assert_eq!(
+        stats[Counter::CacheHits],
+        (THREADS * REQUESTS * 6 / 4) as u64
+    );
     assert_eq!(rendered_bytes(&svc), expected[0][&200].len());
 
     // now re-register between the two id maps while the threads query
